@@ -21,4 +21,4 @@ def test_bench_e7_single_idw(benchmark, spark_utc):
         return density.score(density.idw_reconstruction(spark_utc, obs, tg))
 
     s = benchmark.pedantic(job, rounds=2, iterations=1, warmup_rounds=1)
-    assert s["rmse"] > 0
+    assert s["lowcost_250"]["rmse"] > 0

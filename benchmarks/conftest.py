@@ -9,16 +9,9 @@ from __future__ import annotations
 import os
 
 import pytest
-from pyspark.sql import SparkSession
 
 BENCH_SF = float(os.environ.get("REPRO_BENCH_SF", "0.1"))
 SEED = 0
-
-
-@pytest.fixture(scope="session")
-def spark_utc(spark: SparkSession) -> SparkSession:
-    spark.conf.set("spark.sql.session.timeZone", "UTC")
-    return spark
 
 
 @pytest.fixture(scope="session")

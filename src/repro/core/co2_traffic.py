@@ -72,21 +72,22 @@ def cross_correlation(
 ) -> DataFrame:
     """corr(value(t), jam_factor(t − lag)) for lag ∈ [−max, +max] hours.
 
-    Positive lag = traffic leads the pollutant. Implemented by shifting
-    the traffic series with a self-join on the hourly bucket.
+    Positive lag = traffic leads the pollutant. One plan: the traffic
+    series is exploded over every lag and shifted by it, self-joined
+    once on the hourly bucket and correlated per lag. A lag whose
+    shifted series overlaps no pollutant hour has no row.
     """
     left = aligned.select("city", "bucket", "value")
-    right = aligned.select("city", "bucket", "jam_factor")
-    rows = []
-    for lag in range(-max_lag_hours, max_lag_hours + 1):
-        shifted = right.withColumn(
-            "bucket", F.col("bucket") + F.expr(f"INTERVAL {lag} HOURS")
-        )
-        j = left.join(shifted, ["city", "bucket"], "inner")
-        r = j.agg(F.corr("value", "jam_factor").alias("r")).collect()[0]["r"]
-        rows.append((lag, float(r) if r is not None else float("nan")))
-    spark = aligned.sparkSession
-    return spark.createDataFrame(rows, "lag_hours int, corr double")
+    lags = F.explode(F.sequence(F.lit(-max_lag_hours), F.lit(max_lag_hours)))
+    shifted = aligned.select(
+        "city", "bucket", "jam_factor", lags.alias("lag_hours")
+    ).withColumn("bucket", F.expr("bucket + make_dt_interval(0, lag_hours)"))
+    return (
+        left.join(shifted, ["city", "bucket"], "inner")
+        .groupBy("lag_hours")
+        .agg(F.corr("value", "jam_factor").alias("corr"))
+        .orderBy("lag_hours")
+    )
 
 
 def diurnal_profiles(aligned: DataFrame) -> DataFrame:

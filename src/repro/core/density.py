@@ -75,6 +75,17 @@ def truth_grid_pdf(
     return pd.concat(rows, ignore_index=True)
 
 
+def _scenario_name(
+    n_units: int, *, reference_grade: bool = False, at_station: bool = False
+) -> str:
+    """The E7 row label of a deployment."""
+    if reference_grade:
+        return "official_station"
+    if at_station:
+        return "lowcost_1_at_station"
+    return f"lowcost_{n_units}"
+
+
 def fleet_observations_pdf(
     city: str,
     n_units: int,
@@ -91,8 +102,12 @@ def fleet_observations_pdf(
     (quasi-uniform over the ±2.5 km extent); ``at_station`` pins a
     single unit to the official station site instead (the equal-siting
     control that separates instrument error from siting error).
-    Columns: unit_id, x_m, y_m, ts, obs.
+    Columns: scenario, unit_id, x_m, y_m, ts, obs; ``scenario`` names
+    the deployment (:func:`_scenario_name`).
     """
+    scenario = _scenario_name(
+        n_units, reference_grade=reference_grade, at_station=at_station
+    )
     g = np.random.default_rng(stable_seed("fleet", city, n_units, reference_grade, seed))
     if reference_grade or at_station:
         st = deployment.station_pdf()
@@ -123,6 +138,7 @@ def fleet_observations_pdf(
         rows.append(
             pd.DataFrame(
                 {
+                    "scenario": scenario,
                     "unit_id": np.arange(n_units),
                     "x_m": xs,
                     "y_m": ys,
@@ -144,8 +160,9 @@ def idw_reconstruction(
     """IDW-reconstruct the field on the grid and score against truth.
 
     Spark does the heavy (cell × unit × hour) join: weights
-    w = 1/(d+ε)^p over all units at each instant. Returns per
-    (cell_id, ts): estimate, truth, error.
+    w = 1/(d+ε)^p over all units of a scenario at each instant, so any
+    number of scenarios reconstruct in one plan. Returns per
+    (scenario, cell_id, ts): estimate, truth, error.
     """
     obs = spark.createDataFrame(observations)
     cells = spark.createDataFrame(truth_grid)
@@ -156,30 +173,28 @@ def idw_reconstruction(
         ),
     )
     j = j.withColumn("w", 1.0 / F.pow(F.col("d") + IDW_EPS_M, power))
-    est = j.groupBy("cell_id", "ts", "truth").agg(
+    est = j.groupBy("scenario", "cell_id", "ts", "truth").agg(
         (F.sum(F.col("w") * F.col("obs")) / F.sum("w")).alias("estimate")
     )
     return est.withColumn("error", F.col("estimate") - F.col("truth"))
 
 
 def score(recon: DataFrame) -> dict:
-    """RMSE over (cell, hour) + spatial RMSE of the time-mean field."""
-    overall = recon.agg(
+    """Per scenario: RMSE over (cell, hour), bias, and the spatial RMSE
+    of the time-mean field, as ``{scenario: {rmse, bias, spatial_rmse}}``."""
+    overall = recon.groupBy("scenario").agg(
         F.sqrt(F.avg(F.col("error") ** 2)).alias("rmse"),
         F.avg("error").alias("bias"),
-    ).collect()[0]
+    )
     spatial = (
-        recon.groupBy("cell_id")
-        .agg(
-            (F.avg("estimate") - F.avg("truth")).alias("cell_err"),
-        )
-        .agg(F.sqrt(F.avg(F.col("cell_err") ** 2)).alias("srmse"))
-        .collect()[0]
+        recon.groupBy("scenario", "cell_id")
+        .agg((F.avg("estimate") - F.avg("truth")).alias("cell_err"))
+        .groupBy("scenario")
+        .agg(F.sqrt(F.avg(F.col("cell_err") ** 2)).alias("spatial_rmse"))
     )
     return {
-        "rmse": float(overall["rmse"]),
-        "bias": float(overall["bias"]),
-        "spatial_rmse": float(spatial["srmse"]),
+        r["scenario"]: {k: float(r[k]) for k in ("rmse", "bias", "spatial_rmse")}
+        for r in overall.join(spatial, "scenario").collect()
     }
 
 
@@ -194,37 +209,33 @@ def sweep(
 ) -> pd.DataFrame:
     """The E7 table: one row per scenario (station + each fleet size).
 
-    Columns: scenario, n_units, cost_usd, rmse, bias, spatial_rmse.
+    Every scenario's observations go into one DataFrame, reconstructed
+    and scored in one plan. Columns: scenario, n_units, cost_usd, rmse,
+    bias, spatial_rmse.
     """
     times = eval_times(day=day)
     tg = truth_grid_pdf(city, times, metric=metric, seed=seed)
+    # The station, then the equal-siting control: one low-cost unit at
+    # the station site, so the table separates instrument error (station
+    # vs this row) from spatial-sampling error (this row vs the
+    # scattered fleets).
+    deployments = [
+        (1, {"reference_grade": True}, STATION_COST_USD),
+        (1, {"at_station": True}, SENSOR_COST_USD),
+        *((n, {}, n * SENSOR_COST_USD) for n in fleet_sizes),
+    ]
+    obs = pd.concat(
+        [
+            fleet_observations_pdf(city, n, times, metric=metric, seed=seed, **kw)
+            for n, kw, _ in deployments
+        ],
+        ignore_index=True,
+    )
+    scores = score(idw_reconstruction(spark, obs, tg))
     rows = []
-    ref_obs = fleet_observations_pdf(
-        city, 1, times, metric=metric, reference_grade=True, seed=seed
-    )
-    s = score(idw_reconstruction(spark, ref_obs, tg))
-    rows.append(
-        {"scenario": "official_station", "n_units": 1,
-         "cost_usd": STATION_COST_USD, **s}
-    )
-    # Equal-siting control: one low-cost unit at the station site, so
-    # the table separates instrument error (station vs this row) from
-    # spatial-sampling error (this row vs the scattered fleets).
-    colo = fleet_observations_pdf(
-        city, 1, times, metric=metric, at_station=True, seed=seed
-    )
-    s = score(idw_reconstruction(spark, colo, tg))
-    rows.append(
-        {"scenario": "lowcost_1_at_station", "n_units": 1,
-         "cost_usd": SENSOR_COST_USD, **s}
-    )
-    for n in fleet_sizes:
-        obs = fleet_observations_pdf(city, n, times, metric=metric, seed=seed)
-        s = score(idw_reconstruction(spark, obs, tg))
-        rows.append(
-            {"scenario": f"lowcost_{n}", "n_units": n,
-             "cost_usd": n * SENSOR_COST_USD, **s}
-        )
+    for n, kw, cost in deployments:
+        name = _scenario_name(n, **kw)
+        rows.append({"scenario": name, "n_units": n, "cost_usd": cost, **scores[name]})
     out = pd.DataFrame(rows)
     for c in ("rmse", "bias", "spatial_rmse"):
         out[c] = out[c].round(3)

@@ -17,7 +17,7 @@ Spark Structured Streaming job:
   watermarked 1-hour per-sensor aggregates that feed the real-time
   dashboard (Fig 6) without rescanning history.
 
-Tests and jobs run with ``trigger(availableNow=True)`` so runs are
+Both queries run with ``trigger(availableNow=True)`` so runs are
 deterministic and terminate; a production deployment would use a
 processing-time trigger.
 """
@@ -34,14 +34,9 @@ from repro.lorawan.mqtt import MESSAGE_SCHEMA
 from repro.tsdb import store
 
 
-def read_stream(
-    spark: SparkSession, landing_dir: str, *, max_files_per_trigger: int | None = None
-) -> DataFrame:
+def read_stream(spark: SparkSession, landing_dir: str) -> DataFrame:
     """Streaming source over the MQTT landing zone."""
-    reader = spark.readStream.schema(MESSAGE_SCHEMA)
-    if max_files_per_trigger is not None:
-        reader = reader.option("maxFilesPerTrigger", max_files_per_trigger)
-    return reader.json(landing_dir)
+    return spark.readStream.schema(MESSAGE_SCHEMA).json(landing_dir)
 
 
 def start_ingest(
@@ -50,15 +45,13 @@ def start_ingest(
     tsdb_root: str,
     checkpoint_dir: str,
     *,
-    quarantine_dir: str | None = None,
-    available_now: bool = True,
+    quarantine_dir: str,
 ) -> StreamingQuery:
     """Start the ingest query; caller awaits termination.
 
     Each micro-batch is parsed, validated, and split: accepted points
     append to the TSDB, invalid points to ``quarantine_dir``.
     """
-    quarantine_dir = quarantine_dir or os.path.join(tsdb_root + "_quarantine")
 
     def _sink(batch: DataFrame, batch_id: int) -> None:
         validated = etl.validate(etl.parse_messages(batch)).cache()
@@ -69,14 +62,13 @@ def start_ingest(
         finally:
             validated.unpersist()
 
-    writer = (
+    return (
         read_stream(spark, landing_dir)
         .writeStream.foreachBatch(_sink)
         .option("checkpointLocation", checkpoint_dir)
+        .trigger(availableNow=True)
+        .start()
     )
-    if available_now:
-        writer = writer.trigger(availableNow=True)
-    return writer.start()
 
 
 def start_live_aggregate(
@@ -87,7 +79,6 @@ def start_live_aggregate(
     *,
     window: str = "1 hour",
     watermark: str = "2 hours",
-    available_now: bool = True,
 ) -> StreamingQuery:
     """Watermarked streaming aggregation feeding the live dashboard.
 
@@ -118,15 +109,14 @@ def start_live_aggregate(
             "n",
         )
     )
-    writer = (
+    return (
         agg.writeStream.outputMode("append")
         .format("parquet")
         .option("path", out_dir)
         .option("checkpointLocation", checkpoint_dir)
+        .trigger(availableNow=True)
+        .start()
     )
-    if available_now:
-        writer = writer.trigger(availableNow=True)
-    return writer.start()
 
 
 def run_pipeline(

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 from repro.iot import deployment, field
 from repro.iot.faults import Fault
@@ -206,16 +205,3 @@ def simulate_readings_pdf(
     pdf = pd.concat(parts, ignore_index=True)
     return pdf.sort_values(["ts", "sensor_id"]).reset_index(drop=True)
 
-
-def readings(
-    spark: SparkSession,
-    *,
-    sf: float = 0.01,
-    seed: int = 0,
-    sensors: pd.DataFrame | None = None,
-    faults: list[Fault] | None = None,
-) -> DataFrame:
-    """Spark DataFrame of :func:`simulate_readings_pdf`."""
-    return spark.createDataFrame(
-        simulate_readings_pdf(sf=sf, seed=seed, sensors=sensors, faults=faults)
-    )

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession, Window
+from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
 from repro.iot import deployment
@@ -78,11 +78,6 @@ def receptions_pdf(
                                          rssi=pd.Series(dtype="float64"))
     out = pd.concat(parts, ignore_index=True)
     return out.sort_values(["ts", "sensor_id", "gateway_id"]).reset_index(drop=True)
-
-
-def receptions(spark: SparkSession, readings: pd.DataFrame, **kw) -> DataFrame:
-    """Spark view of :func:`receptions_pdf`."""
-    return spark.createDataFrame(receptions_pdf(readings, **kw))
 
 
 def ttn_dedup(receptions_df: DataFrame) -> DataFrame:

@@ -1,11 +1,12 @@
-"""Shared plumbing for jobs and benchmarks.
+"""Shared plumbing for jobs, tests and benchmarks.
 
 ``build_world`` materialises the full §2.1 data flow at a scale factor:
 simulate the deployment, transport packets over the LoRaWAN model, land
 TTN/MQTT messages, run the Structured Streaming ingestion into the
 TSDB, and return handles to every stage. Jobs (spark-submit
-entrypoints) and benchmarks share this code so the numbers in
-EXPERIMENTS.md come from exactly the pipeline the tests verify.
+entrypoints), test fixtures and benchmarks share this code so the
+numbers in EXPERIMENTS.md come from exactly the pipeline the tests
+verify.
 """
 from __future__ import annotations
 
@@ -21,13 +22,21 @@ from repro.lorawan import mqtt, network
 
 
 def get_spark(app: str) -> SparkSession:
-    """Session for spark-submit jobs (tests use the conftest fixture)."""
+    """The one SparkSession config, for jobs, tests and benchmarks.
+
+    Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` or
+    spark-submit. Broadcast joins are disabled so joins take the shuffle
+    path they take at scale; UTC pins window/bucket semantics to
+    DuckDB's naive timestamps in oracle checks; the console progress bar
+    is off so stderr carries warnings, not ``[Stage n:>`` bars.
+    """
     s = (
         SparkSession.builder.appName(app)
         .config("spark.sql.shuffle.partitions", os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"))
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .config("spark.sql.session.timeZone", "UTC")
+        .config("spark.ui.showConsoleProgress", "false")
         .getOrCreate()
     )
     s.sparkContext.setLogLevel("ERROR")
@@ -37,7 +46,11 @@ def get_spark(app: str) -> SparkSession:
 class World(dict):
     """Dict with attribute access: world.points etc."""
 
-    __getattr__ = dict.__getitem__
+    def __getattr__(self, name: str):
+        try:
+            return self[name]
+        except KeyError:
+            raise AttributeError(name) from None
 
 
 def build_world(

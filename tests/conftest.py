@@ -2,116 +2,44 @@
 
 The simulation (sensor readings → radio receptions → TTN dedup → MQTT
 landing → parsed uplinks/points) is deterministic and moderately
-expensive, so it is built once at session scope and shared. SF=0.008
-gives a 3-day window — long enough for the standard fault scenario
-(last event at hour 56) and the daily-pattern analyses, small enough
-for fast tests.
+expensive, so it is built once at session scope and shared, by the same
+``runner.build_world`` the jobs and benchmarks use. SF=0.008 gives a
+3-day window — long enough for the standard fault scenario (last event
+at hour 56) and the daily-pattern analyses, small enough for fast tests.
 """
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
-
-import pandas as pd
 import pytest
-from pyspark.sql import DataFrame, SparkSession
+
+from repro import runner
 
 TEST_SF = 0.008
 SEED = 0
 
 
-@pytest.fixture(scope="session")
-def spark_utc(spark: SparkSession) -> SparkSession:
-    """The session SparkSession pinned to UTC so window/bucket semantics
-    match DuckDB's naive timestamps in oracle checks."""
-    spark.conf.set("spark.sql.session.timeZone", "UTC")
-    return spark
-
-
-@dataclass
-class World:
-    """Everything downstream of one simulated deployment."""
-
-    sf: float
-    faults: list
-    outages: list
-    sensors_pdf: pd.DataFrame
-    readings_pdf: pd.DataFrame
-    receptions_pdf: pd.DataFrame
-    landing_dir: str
-    uplinks: DataFrame  # parsed TTN uplinks (cached)
-    points: DataFrame  # validated TSDB-shaped data points (cached)
-    quarantined: DataFrame
-    n_landed: int
-
-
-@pytest.fixture(scope="session")
-def world(spark_utc: SparkSession, tmp_path_factory) -> World:
-    from repro.ingest import etl
-    from repro.iot import deployment, faults, sensor
-    from repro.lorawan import mqtt, network
-
-    flist, outages = faults.standard_scenario(deployment.SIM_START)
-    sensors_pdf = deployment.sensors_pdf()
-    readings = sensor.simulate_readings_pdf(sf=TEST_SF, seed=SEED, faults=flist)
-    receptions = network.receptions_pdf(readings, outages=outages, seed=SEED)
-    dedup = network.ttn_dedup(spark_utc.createDataFrame(receptions))
-    landing = str(tmp_path_factory.mktemp("landing"))
-    n = mqtt.land_messages(dedup, landing)
-    raw = etl.read_landing_batch(spark_utc, landing)
-    validated = etl.validate(etl.parse_messages(raw))
-    points = etl.accepted_points(validated).cache()
-    quarantined = etl.quarantined_points(validated).cache()
-    uplinks = etl.uplinks_batch(spark_utc, landing).cache()
-    points.count(), uplinks.count()  # materialise caches once
-    return World(
-        sf=TEST_SF,
-        faults=flist,
-        outages=outages,
-        sensors_pdf=sensors_pdf,
-        readings_pdf=readings,
-        receptions_pdf=receptions,
-        landing_dir=landing,
-        uplinks=uplinks,
-        points=points,
-        quarantined=quarantined,
-        n_landed=n,
+def _cached_world(spark, tmp_path_factory, *, with_faults: bool) -> runner.World:
+    w = runner.build_world(
+        spark, sf=TEST_SF, seed=SEED, with_faults=with_faults,
+        work_dir=str(tmp_path_factory.mktemp("world")), run_streaming=False,
     )
+    for k in ("points", "quarantined", "uplinks"):
+        w[k] = w[k].cache()
+    w.points.count(), w.uplinks.count()  # materialise caches once
+    return w
 
 
 @pytest.fixture(scope="session")
-def clean_world(spark_utc: SparkSession, tmp_path_factory) -> World:
+def world(spark_utc, tmp_path_factory) -> runner.World:
+    """The standard fault scenario: sensor deaths, drift, a flatline
+    and gateway outages."""
+    return _cached_world(spark_utc, tmp_path_factory, with_faults=True)
+
+
+@pytest.fixture(scope="session")
+def clean_world(spark_utc, tmp_path_factory) -> runner.World:
     """A fault-free, outage-free world for tests where injected faults
     would be noise (calibration, battery, dashboards)."""
-    from repro.ingest import etl
-    from repro.iot import deployment, sensor
-    from repro.lorawan import mqtt, network
-
-    sensors_pdf = deployment.sensors_pdf()
-    readings = sensor.simulate_readings_pdf(sf=TEST_SF, seed=SEED)
-    receptions = network.receptions_pdf(readings, seed=SEED)
-    dedup = network.ttn_dedup(spark_utc.createDataFrame(receptions))
-    landing = str(tmp_path_factory.mktemp("landing_clean"))
-    n = mqtt.land_messages(dedup, landing)
-    raw = etl.read_landing_batch(spark_utc, landing)
-    validated = etl.validate(etl.parse_messages(raw))
-    points = etl.accepted_points(validated).cache()
-    quarantined = etl.quarantined_points(validated).cache()
-    uplinks = etl.uplinks_batch(spark_utc, landing).cache()
-    points.count(), uplinks.count()
-    return World(
-        sf=TEST_SF,
-        faults=[],
-        outages=[],
-        sensors_pdf=sensors_pdf,
-        readings_pdf=readings,
-        receptions_pdf=receptions,
-        landing_dir=landing,
-        uplinks=uplinks,
-        points=points,
-        quarantined=quarantined,
-        n_landed=n,
-    )
+    return _cached_world(spark_utc, tmp_path_factory, with_faults=False)
 
 
 @pytest.fixture(scope="session")

@@ -103,6 +103,22 @@ class TestCrossCorrelation:
         r0 = cc[cc["lag_hours"] == 0]["corr"].iloc[0]
         assert abs(r0 - co2_traffic.correlation(al_co2)) < 1e-9
 
+    def test_every_lag_matches_oracle(self, al_co2):
+        """Each lag's corr == DuckDB's shifted self-join over the hourly
+        series."""
+        got = co2_traffic.cross_correlation(al_co2, max_lag_hours=3)
+        assert_equivalent(
+            got,
+            """
+            SELECT r.lag AS lag_hours, corr(a.value, b.jam_factor) AS corr
+            FROM range(-3, 4) AS r(lag)
+            JOIN al a ON TRUE
+            JOIN al b ON a.city = b.city AND a.bucket = b.bucket + to_hours(r.lag)
+            GROUP BY r.lag
+            """,
+            al=al_co2,
+        )
+
     def test_profiles_normalized(self, al_co2):
         prof = co2_traffic.diurnal_profiles(al_co2).toPandas()
         for c in ("value_norm", "jam_norm"):

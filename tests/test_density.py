@@ -1,8 +1,10 @@
 """Density/cost trade-off (E7): dense low-cost beats one station."""
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.core import density
+from repro.oracle import assert_equivalent
 
 
 @pytest.fixture(scope="module")
@@ -57,9 +59,78 @@ class TestReconstruction:
         times = density.eval_times(hours=3)
         tg = density.truth_grid_pdf("trondheim", times)
         obs = density.fleet_observations_pdf("trondheim", 10, times)
-        s = density.score(density.idw_reconstruction(spark_utc, obs, tg))
+        s = density.score(density.idw_reconstruction(spark_utc, obs, tg))["lowcost_10"]
         assert set(s) == {"rmse", "bias", "spatial_rmse"}
         assert s["rmse"] > 0
+
+
+#: IDW over every unit of a scenario at each instant, as DuckDB SQL.
+IDW_SQL = f"""
+    SELECT scenario, cell_id, ts, truth, sum(w * obs) / sum(w) AS estimate
+    FROM (
+      SELECT o.scenario, c.cell_id, c.ts, c.truth, o.obs,
+             1.0 / ((sqrt((c.x_c - o.x_m) ^ 2 + (c.y_c - o.y_m) ^ 2)
+                     + {density.IDW_EPS_M}) ^ 2) AS w
+      FROM tg c JOIN obs o USING (ts)
+    )
+    GROUP BY ALL
+"""
+
+
+class TestScoringOracle:
+    """E7 on a small sweep (2 hours; station, co-sited unit, fleets of 1
+    and 5) against DuckDB, every scenario in one plan."""
+
+    @pytest.fixture(scope="class")
+    def small(self, spark_utc):
+        times = density.eval_times(hours=2)
+        tg = density.truth_grid_pdf("trondheim", times)
+        obs = pd.concat(
+            [
+                density.fleet_observations_pdf("trondheim", n, times, **kw)
+                for n, kw in [(1, {"reference_grade": True}), (1, {"at_station": True}),
+                              (1, {}), (5, {})]
+            ],
+            ignore_index=True,
+        )
+        return obs, tg, density.idw_reconstruction(spark_utc, obs, tg).cache()
+
+    def test_four_scenarios(self, small):
+        obs, _, _ = small
+        assert list(obs["scenario"].unique()) == [
+            "official_station", "lowcost_1_at_station", "lowcost_1", "lowcost_5"
+        ]
+
+    def test_estimate_oracle(self, small):
+        obs, tg, rec = small
+        assert_equivalent(
+            rec.select("scenario", "cell_id", "ts", "truth", "estimate"),
+            IDW_SQL, obs=obs, tg=tg,
+        )
+
+    def test_score_oracle(self, spark_utc, small):
+        obs, tg, rec = small
+        got = spark_utc.createDataFrame(
+            pd.DataFrame([{"scenario": k, **v} for k, v in density.score(rec).items()])
+        )
+        assert_equivalent(
+            got,
+            f"""
+            WITH e AS (SELECT *, estimate - truth AS error FROM ({IDW_SQL})),
+            o AS (
+              SELECT scenario, sqrt(avg(error ^ 2)) AS rmse, avg(error) AS bias
+              FROM e GROUP BY scenario
+            ),
+            s AS (
+              SELECT scenario, sqrt(avg(cell_err ^ 2)) AS spatial_rmse
+              FROM (SELECT scenario, avg(estimate) - avg(truth) AS cell_err
+                    FROM e GROUP BY scenario, cell_id)
+              GROUP BY scenario
+            )
+            SELECT * FROM o JOIN s USING (scenario)
+            """,
+            obs=obs, tg=tg,
+        )
 
 
 class TestPaperClaim:

@@ -1,91 +1,44 @@
-"""Provided scaffolding: TPC-H-lite generators, CTT re-exports, oracle."""
+"""CTT dataset entry points and the DuckDB oracle's self-tests."""
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro import synth_data
+from repro.external import herecom, municipal, nilu
+from repro.iot import deployment
 from repro.oracle import assert_equivalent
 
 
-class TestTpchLite:
-    def test_lineitem_rowcount_scales(self, spark_utc):
-        li = synth_data.lineitem(spark_utc, sf=0.001)
-        assert li.count() == 6000
-
-    def test_q1_style_aggregate_oracle(self, spark_utc):
-        li = synth_data.lineitem(spark_utc, sf=0.001)
-        got = (
-            li.groupBy("l_returnflag", "l_linestatus")
-            .agg(
-                F.round(F.sum("l_quantity"), 2).alias("sum_qty"),
-                F.count(F.lit(1)).alias("count_order"),
-            )
-        )
-        assert_equivalent(
-            got,
-            """
-            SELECT l_returnflag, l_linestatus,
-                   round(sum(l_quantity), 2) AS sum_qty,
-                   count(*) AS count_order
-            FROM li GROUP BY l_returnflag, l_linestatus
-            """,
-            li=li,
-        )
-
-    def test_join_oracle(self, spark_utc):
-        li = synth_data.lineitem(spark_utc, sf=0.001)
-        o = synth_data.orders(spark_utc, sf=0.001)
-        got = (
-            li.join(o, li["l_orderkey"] == o["o_orderkey"])
-            .groupBy("o_orderpriority")
-            .agg(F.count(F.lit(1)).alias("n"))
-        )
-        assert_equivalent(
-            got,
-            """
-            SELECT o_orderpriority, count(*) AS n
-            FROM li JOIN o ON l_orderkey = o_orderkey
-            GROUP BY o_orderpriority
-            """,
-            li=li,
-            o=o,
-        )
-
-    def test_zipf_skew(self, spark_utc):
-        z = synth_data.zipf_keys(spark_utc, n=20000, n_keys=1000).toPandas()
-        top = z["k"].value_counts(normalize=True).iloc[0]
-        assert top > 0.05  # heavy head
-
-
 class TestCttReexports:
-    def test_sensor_readings(self, spark_utc):
-        df = synth_data.sensor_readings(spark_utc, sf=0.005)
-        assert df.select("sensor_id").distinct().count() == 14
-
     def test_registries(self, spark_utc):
-        assert synth_data.ctt_sensors(spark_utc).count() == 14
-        assert synth_data.ctt_gateways(spark_utc).count() == 5
-        assert synth_data.ctt_stations(spark_utc).count() == 2
-        assert synth_data.ctt_road_links(spark_utc).count() == 7
+        assert deployment.sensors(spark_utc).count() == 14
+        assert deployment.gateways(spark_utc).count() == 5
+        assert deployment.stations(spark_utc).count() == 2
+        assert deployment.road_links(spark_utc).count() == 7
 
     def test_external_feeds(self, spark_utc):
-        assert synth_data.nilu_observations(spark_utc, sf=0.005).count() > 0
-        assert synth_data.traffic_feed(spark_utc, sf=0.005).count() > 0
-        assert synth_data.municipal_counts(spark_utc, sf=0.005).count() > 0
+        assert nilu.observations(spark_utc, sf=0.005).count() > 0
+        assert herecom.feed(spark_utc, sf=0.005).count() > 0
+        assert municipal.counts(spark_utc, sf=0.005).count() > 0
 
 
 class TestOracle:
-    def test_detects_wrong_result(self, spark_utc):
-        li = synth_data.lineitem(spark_utc, sf=0.0005)
-        wrong = li.agg((F.sum("l_quantity") + 1).alias("s"))
-        with pytest.raises(AssertionError):
-            assert_equivalent(wrong, "SELECT sum(l_quantity) AS s FROM li", li=li)
+    @pytest.fixture(scope="class")
+    def pts(self, world):
+        return world.points.filter("metric = 'air.co2'").select("sensor_id", "value")
 
-    def test_detects_column_mismatch(self, spark_utc):
-        li = synth_data.lineitem(spark_utc, sf=0.0005)
-        got = li.agg(F.sum("l_quantity").alias("total"))
+    def test_detects_wrong_result(self, pts):
+        wrong = pts.groupBy("sensor_id").agg((F.count(F.lit(1)) + 1).alias("n"))
+        with pytest.raises(AssertionError):
+            assert_equivalent(
+                wrong, "SELECT sensor_id, count(*) AS n FROM pts GROUP BY 1", pts=pts
+            )
+
+    def test_detects_column_mismatch(self, pts):
+        got = pts.groupBy("sensor_id").agg(F.count(F.lit(1)).alias("total"))
         with pytest.raises(AssertionError, match="column mismatch"):
-            assert_equivalent(got, "SELECT sum(l_quantity) AS s FROM li", li=li)
+            assert_equivalent(
+                got, "SELECT sensor_id, count(*) AS n FROM pts GROUP BY 1", pts=pts
+            )
 
     def test_accepts_pandas_tables(self, spark_utc):
         pdf = pd.DataFrame({"k": [1, 1, 2], "v": [1.0, 2.0, 3.0]})

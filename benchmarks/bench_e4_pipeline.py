@@ -2,11 +2,13 @@
 import os
 
 from repro.ingest import stream
+from repro.lorawan.network import PAYLOAD_COLS
 
 
 def test_bench_e4_streaming_ingest(benchmark, spark_utc, bench_world, tmp_path_factory):
     """Times a full availableNow ingest of the benchmark landing zone
-    into a fresh TSDB (fresh checkpoint each round)."""
+    into a fresh TSDB (fresh checkpoint each round); every landed point
+    is accepted or quarantined, at any scale."""
     counter = {"i": 0}
 
     def job():
@@ -20,10 +22,14 @@ def test_bench_e4_streaming_ingest(benchmark, spark_utc, bench_world, tmp_path_f
             quarantine_dir=os.path.join(work, "quar"),
         )
         assert q.awaitTermination(600)
-        return spark_utc.read.parquet(os.path.join(work, "tsdb")).count()
+        return (
+            spark_utc.read.parquet(os.path.join(work, "tsdb")).count(),
+            spark_utc.read.parquet(os.path.join(work, "quar")).count(),
+        )
 
-    n = benchmark.pedantic(job, rounds=2, iterations=1, warmup_rounds=0)
-    assert n > 500_000
+    n, n_quar = benchmark.pedantic(job, rounds=2, iterations=1, warmup_rounds=0)
+    assert n == bench_world.points.count()
+    assert n + n_quar == bench_world.n_landed * len(PAYLOAD_COLS)
 
 
 def test_bench_e4_batch_parse(benchmark, spark_utc, bench_world):

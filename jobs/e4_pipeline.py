@@ -26,7 +26,6 @@ def run(spark, *, sf: float = 0.05, seed: int = 0) -> dict:
     pts = spark.read.parquet(res["tsdb_root"])
     n_pts = pts.count()
     n_quar = spark.read.parquet(res["quarantine_dir"]).count()
-    n_live = spark.read.parquet(res["live_agg_dir"]).count()
 
     acc = network.loss_accounting(w.readings_pdf, w.receptions_pdf)
     summary = pd.DataFrame(
@@ -41,7 +40,6 @@ def run(spark, *, sf: float = 0.05, seed: int = 0) -> dict:
                 "points_accepted": n_pts,
                 "points_quarantined": n_quar,
                 "quarantine_rate": round(n_quar / (n_pts + n_quar), 4),
-                "live_agg_rows": n_live,
                 "ingest_wall_s": round(elapsed, 1),
                 "points_per_s": int((n_pts + n_quar) / elapsed),
             }

@@ -17,7 +17,7 @@ from __future__ import annotations
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.lorawan.mqtt import MESSAGE_SCHEMA
+from repro.lorawan.mqtt import MESSAGE_SCHEMA, TIME_FORMAT
 from repro.lorawan.network import PAYLOAD_COLS
 
 #: payload field → TSDB metric name.
@@ -47,22 +47,40 @@ VALID_RANGE = {
 }
 
 
+def parse_uplinks(raw: DataFrame) -> DataFrame:
+    """TTN/MQTT envelope → one row per uplink.
+
+    Input rows follow :data:`repro.lorawan.mqtt.MESSAGE_SCHEMA`. Output:
+    sensor_id, city, ts, f_cnt, gateways, n_gateways, best_gateway,
+    best_rssi, payload_fields. An unparseable time gives a null ``ts``
+    and an empty gateway list a null ``best_gateway``, rather than an
+    error that would abort the whole batch under ANSI mode.
+    """
+    gateways = F.col("metadata.gateways")
+    best = F.get(gateways, 0)
+    return raw.select(
+        F.col("dev_id").alias("sensor_id"),
+        F.col("city"),
+        F.try_to_timestamp("metadata.time", F.lit(TIME_FORMAT)).alias("ts"),
+        F.col("counter").alias("f_cnt"),
+        gateways.alias("gateways"),
+        F.size(gateways).alias("n_gateways"),
+        best["gtw_id"].alias("best_gateway"),
+        best["rssi"].alias("best_rssi"),
+        F.col("payload_fields"),
+    )
+
+
 def parse_messages(raw: DataFrame) -> DataFrame:
     """TTN/MQTT envelope → long data points.
 
-    Input rows follow :data:`repro.lorawan.mqtt.MESSAGE_SCHEMA`. Output:
-    sensor_id, city, ts, f_cnt, n_gateways, best_gateway, best_rssi,
-    metric field name (``field``), TSDB ``metric`` name, ``value``.
+    Output: sensor_id, city, ts, f_cnt, n_gateways, best_gateway,
+    best_rssi, metric field name (``field``), TSDB ``metric`` name,
+    ``value``.
     """
     stack_expr = ", ".join(f"'{c}', payload_fields.{c}" for c in PAYLOAD_COLS)
-    flat = raw.select(
-        F.col("dev_id").alias("sensor_id"),
-        F.col("city"),
-        F.to_timestamp("metadata.time", "yyyy-MM-dd'T'HH:mm:ss'Z'").alias("ts"),
-        F.col("counter").alias("f_cnt"),
-        F.size("metadata.gateways").alias("n_gateways"),
-        F.col("metadata.gateways")[0]["gtw_id"].alias("best_gateway"),
-        F.col("metadata.gateways")[0]["rssi"].alias("best_rssi"),
+    flat = parse_uplinks(raw).select(
+        "sensor_id", "city", "ts", "f_cnt", "n_gateways", "best_gateway", "best_rssi",
         F.expr(f"stack({len(PAYLOAD_COLS)}, {stack_expr}) as (field, value)"),
     )
     metric_map = F.create_map(
@@ -74,8 +92,9 @@ def parse_messages(raw: DataFrame) -> DataFrame:
 def validate(points: DataFrame) -> DataFrame:
     """Flag each data point ``valid`` against :data:`VALID_RANGE`.
 
-    Null values and out-of-range values are invalid; the row is kept so
-    quarantine accounting sees it.
+    Null values, out-of-range values and points without a ``ts`` or
+    ``sensor_id`` are invalid; the row is kept so quarantine accounting
+    sees it.
     """
     lo_map = F.create_map(
         *[x for k, (lo, _) in VALID_RANGE.items() for x in (F.lit(k), F.lit(lo))]
@@ -85,7 +104,9 @@ def validate(points: DataFrame) -> DataFrame:
     )
     return points.withColumn(
         "valid",
-        F.col("value").isNotNull()
+        F.col("ts").isNotNull()
+        & F.col("sensor_id").isNotNull()
+        & F.col("value").isNotNull()
         & (F.col("value") >= lo_map[F.col("field")])
         & (F.col("value") <= hi_map[F.col("field")]),
     )
@@ -110,15 +131,8 @@ def read_landing_batch(spark: SparkSession, landing_dir: str) -> DataFrame:
 
 def uplinks_batch(spark: SparkSession, landing_dir: str) -> DataFrame:
     """One row per uplink message (pre-explosion) — dataport input shape."""
-    raw = read_landing_batch(spark, landing_dir)
-    return raw.select(
-        F.col("dev_id").alias("sensor_id"),
-        "city",
-        F.to_timestamp("metadata.time", "yyyy-MM-dd'T'HH:mm:ss'Z'").alias("ts"),
-        F.col("counter").alias("f_cnt"),
-        F.col("metadata.gateways").alias("gateways"),
-        F.col("metadata.gateways")[0]["gtw_id"].alias("best_gateway"),
-        F.size("metadata.gateways").alias("n_gateways"),
+    return parse_uplinks(read_landing_batch(spark, landing_dir)).select(
+        "sensor_id", "city", "ts", "f_cnt", "gateways", "best_gateway", "n_gateways",
         F.col("payload_fields.battery").alias("battery"),
         F.col("payload_fields.interval_min").alias("interval_min"),
     )

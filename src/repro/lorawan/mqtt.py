@@ -19,20 +19,26 @@ Message envelope (TTN uplink format, trimmed):
      "payload_fields": {"co2": 431.2, "no2": 24.0, "pm10": 14.1,
                         "pm25": 7.7, "temperature": -3.1,
                         "pressure": 1013.2, "humidity": 81.0,
-                        "battery": 89.9, "interval_min": 5}}
+                        "battery": 89.9, "interval_min": 5.0}}
+
+Spark serialises the envelope (:func:`land_messages`) and reads it back
+with :data:`MESSAGE_SCHEMA`; :func:`repro.ingest.etl.parse_uplinks` is
+the one parse of it, for batch and streaming alike.
 """
 from __future__ import annotations
 
-import json
 import os
 
-import pandas as pd
 from pyspark.sql import DataFrame
+from pyspark.sql import functions as F
 from pyspark.sql.types import (
     ArrayType, DoubleType, IntegerType, StringType, StructField, StructType,
 )
 
 from repro.lorawan.network import PAYLOAD_COLS
+
+#: Spark datetime pattern of ``metadata.time`` (ISO 8601, UTC).
+TIME_FORMAT = "yyyy-MM-dd'T'HH:mm:ss'Z'"
 
 #: Spark schema of a landed MQTT message (for the streaming reader).
 MESSAGE_SCHEMA = StructType(
@@ -68,49 +74,36 @@ MESSAGE_SCHEMA = StructType(
 )
 
 
-def _message(row: dict) -> dict:
-    ts = pd.Timestamp(row["ts"])
-    return {
-        "app_id": "ctt",
-        "dev_id": row["sensor_id"],
-        "counter": int(row["f_cnt"]),
-        "city": row["city"],
-        "metadata": {
-            "time": ts.strftime("%Y-%m-%dT%H:%M:%SZ"),
-            "gateways": [
-                {"gtw_id": g["gtw_id"], "rssi": float(g["rssi"])}
-                for g in row["gateways"]
-            ],
-        },
-        "payload_fields": {c: float(row[c]) for c in PAYLOAD_COLS},
-    }
-
-
-def land_messages(uplinks: DataFrame | pd.DataFrame, out_dir: str) -> int:
+def land_messages(uplinks: DataFrame, out_dir: str) -> int:
     """Write TTN-deduplicated uplinks as hourly JSON-lines files.
 
-    ``uplinks`` is the output of :func:`repro.lorawan.network.ttn_dedup`
-    (Spark) or an equivalent pandas frame whose ``gateways`` column
-    holds lists of ``{"gtw_id", "rssi"}`` dicts. Returns the number of
-    messages written. Files are named ``msgs-YYYYMMDDHH.jsonl`` so
-    arrival order matches event time, as a bridge would produce.
+    ``uplinks`` is the output of :func:`repro.lorawan.network.ttn_dedup`.
+    Spark serialises each message with ``to_json``; the driver only
+    sorts the lines and writes them. Returns the number of messages
+    written. Files are named ``msgs-YYYYMMDDHH.jsonl`` and lines are in
+    (time, sensor) order, so arrival order matches event time, as a
+    bridge would produce.
     """
-    pdf = uplinks.toPandas() if isinstance(uplinks, DataFrame) else uplinks.copy()
-    if pdf.empty:
-        os.makedirs(out_dir, exist_ok=True)
-        return 0
-    # Spark Rows inside the gateways array arrive as Row objects.
-    pdf["gateways"] = pdf["gateways"].map(
-        lambda gs: [g if isinstance(g, dict) else g.asDict() for g in gs]
+    message = F.struct(
+        F.lit("ctt").alias("app_id"),
+        F.col("sensor_id").alias("dev_id"),
+        F.col("f_cnt").alias("counter"),
+        F.col("city"),
+        F.struct(
+            F.date_format("ts", TIME_FORMAT).alias("time"),
+            F.col("gateways"),
+        ).alias("metadata"),
+        F.struct(*[F.col(c).cast("double").alias(c) for c in PAYLOAD_COLS]).alias(
+            "payload_fields"
+        ),
     )
+    pdf = uplinks.select(
+        "ts", "sensor_id",
+        F.date_format("ts", "yyyyMMddHH").alias("hour"),
+        F.to_json(message).alias("line"),
+    ).toPandas().sort_values(["ts", "sensor_id"])
     os.makedirs(out_dir, exist_ok=True)
-    pdf = pdf.sort_values(["ts", "dev_id" if "dev_id" in pdf else "sensor_id"])
-    pdf["_hour"] = pd.DatetimeIndex(pdf["ts"]).strftime("%Y%m%d%H")
-    n = 0
-    for hour, grp in pdf.groupby("_hour", sort=True):
-        path = os.path.join(out_dir, f"msgs-{hour}.jsonl")
-        with open(path, "w") as f:
-            for row in grp.to_dict("records"):
-                f.write(json.dumps(_message(row)) + "\n")
-                n += 1
-    return n
+    for hour, lines in pdf.groupby("hour", sort=True)["line"]:
+        with open(os.path.join(out_dir, f"msgs-{hour}.jsonl"), "w") as f:
+            f.writelines(line + "\n" for line in lines)
+    return len(pdf)

@@ -66,9 +66,11 @@ def build_world(
 
     Returns a :class:`World` with: readings_pdf, receptions_pdf,
     fault/outage lists, landing_dir, n_landed, uplinks (DataFrame),
-    points (DataFrame, validated TSDB shape), quarantined, and — when
-    ``run_streaming`` — tsdb_root / live_agg_dir written by the
-    Structured Streaming pipeline.
+    points (DataFrame, TSDB shape) and quarantined (DataFrame). With
+    ``run_streaming``, points and quarantined read what the Structured
+    Streaming pipeline wrote to tsdb_root and quarantine_dir (also
+    returned); without it, both come from the batch parse of the
+    landing zone.
     """
     spark.conf.set("spark.sql.session.timeZone", "UTC")
     work_dir = work_dir or tempfile.mkdtemp(prefix=f"ctt_sf{sf}_")
@@ -93,15 +95,15 @@ def build_world(
         landing_dir=landing,
         n_landed=n_landed,
     )
-    raw = etl.read_landing_batch(spark, landing)
-    validated = etl.validate(etl.parse_messages(raw))
-    w["points"] = etl.accepted_points(validated)
-    w["quarantined"] = etl.quarantined_points(validated)
     w["uplinks"] = etl.uplinks_batch(spark, landing)
     if run_streaming:
-        res = stream.run_pipeline(spark, landing, os.path.join(work_dir, "stream"))
-        w.update(res)
-        w["points"] = spark.read.parquet(res["tsdb_root"])
+        w.update(stream.run_pipeline(spark, landing, os.path.join(work_dir, "stream")))
+        w["points"] = spark.read.parquet(w.tsdb_root)
+        w["quarantined"] = spark.read.parquet(w.quarantine_dir)
+    else:
+        validated = etl.validate(etl.parse_messages(etl.read_landing_batch(spark, landing)))
+        w["points"] = etl.accepted_points(validated)
+        w["quarantined"] = etl.quarantined_points(validated)
     return w
 
 

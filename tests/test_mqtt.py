@@ -2,6 +2,7 @@
 import json
 import os
 
+import duckdb
 import pandas as pd
 
 from repro.lorawan import mqtt
@@ -64,13 +65,32 @@ class TestLanding:
         assert os.path.isdir(out)
 
     def test_round_trip_values(self, world):
-        # A landed message's payload equals the original reading.
-        files = sorted(os.listdir(world.landing_dir))
-        with open(os.path.join(world.landing_dir, files[0])) as f:
-            msg = json.loads(f.readline())
-        orig = world.readings_pdf[
-            (world.readings_pdf["sensor_id"] == msg["dev_id"])
-            & (world.readings_pdf["f_cnt"] == msg["counter"])
-        ].iloc[0]
+        # Every landed message equals its original reading: payload, ISO-Z
+        # time, the gateways that heard it, and the hour of its file.
+        fields = ", ".join(f"{c} DOUBLE" for c in PAYLOAD_COLS)
+        msgs = duckdb.sql(f"""
+            SELECT dev_id AS sensor_id, counter AS f_cnt, metadata.time AS time,
+                   len(metadata.gateways) AS n_gateways,
+                   regexp_extract(filename, 'msgs-([0-9]{{10}})\\.jsonl$', 1) AS file_hour,
+                   payload_fields.*
+            FROM read_json('{world.landing_dir}/*.jsonl', format='newline_delimited',
+                           filename=true,
+                           columns={{'dev_id': 'VARCHAR', 'counter': 'BIGINT',
+                                     'metadata': 'STRUCT(time VARCHAR,
+                                        gateways STRUCT(gtw_id VARCHAR, rssi DOUBLE)[])',
+                                     'payload_fields': 'STRUCT({fields})'}})
+        """).df()
+        assert len(msgs) == world.n_landed
+        heard = (
+            world.receptions_pdf.groupby(["sensor_id", "f_cnt"]).size().rename("heard")
+        )
+        m = msgs.merge(
+            world.readings_pdf, on=["sensor_id", "f_cnt"], suffixes=("", "_orig")
+        ).join(heard, on=["sensor_id", "f_cnt"])
+        assert len(m) == len(msgs)
         for c in PAYLOAD_COLS:
-            assert abs(float(orig[c]) - msg["payload_fields"][c]) < 1e-9
+            assert (m[c] - m[f"{c}_orig"].astype(float)).abs().max() < 1e-9, c
+        ts = pd.DatetimeIndex(m["ts"])
+        assert (m["time"] == ts.strftime("%Y-%m-%dT%H:%M:%SZ")).all()
+        assert (m["file_hour"] == ts.strftime("%Y%m%d%H")).all()
+        assert (m["n_gateways"] == m["heard"]).all()

@@ -1,11 +1,16 @@
-"""Structured Streaming ingestion: streaming == batch, live aggregates."""
+"""Structured Streaming ingestion: streaming == batch, the dashboard's
+read path over the streamed TSDB, and bad input."""
+import json
 import os
 
+import duckdb
+import numpy as np
 import pytest
 from pyspark.sql import functions as F
 
 from repro.ingest import etl, stream
-from repro.oracle import assert_equivalent
+from repro.lorawan.network import PAYLOAD_COLS
+from repro.tsdb import query, store
 
 
 @pytest.fixture(scope="module")
@@ -56,52 +61,87 @@ class TestStreamingIngest:
         assert after == before  # exactly-once within a checkpoint
 
 
-class TestLiveAggregate:
-    def test_rows_emitted(self, spark_utc, piperes):
-        agg = spark_utc.read.parquet(piperes["live_agg_dir"])
-        assert agg.count() > 0
-        assert {"bucket", "sensor_id", "metric", "value_avg", "n"} <= set(agg.columns)
+class TestDashboardReadPath:
+    def test_hourly_downsample_matches_batch_oracle(self, spark_utc, world, piperes):
+        """The dashboard's hourly avg/count, downsampled at read time from
+        the streamed TSDB, equal DuckDB's hourly aggregate of the batch
+        points in every window, the last (still open) hour included."""
+        keys = ["bucket", "metric", "sensor_id"]
+        pts = store.read(spark_utc, piperes["tsdb_root"])
+        got = (
+            query.downsample(pts, "1h-avg").withColumnRenamed("value", "avg")
+            .join(query.downsample(pts, "1h-count").withColumnRenamed("value", "n"),
+                  keys + ["city"])
+            .select(*keys, "avg", "n").toPandas()
+        )
+        batch = world.points.select("metric", "sensor_id", "ts", "value").toPandas()
+        want = duckdb.sql("""
+            SELECT date_trunc('hour', ts) AS bucket, metric, sensor_id,
+                   avg(value) AS avg, count(*) AS n
+            FROM batch GROUP BY 1, 2, 3
+        """).df()
+        for df in (got, want):
+            df["bucket"] = df["bucket"].astype("datetime64[ns]")
+        m = got.merge(want, on=keys, how="outer", suffixes=("", "_want"), indicator=True)
+        assert len(m) == len(want) and (m["_merge"] == "both").all()
+        assert (m["n"] == m["n_want"]).all()
+        assert np.allclose(m["avg"], m["avg_want"], rtol=1e-12, atol=0)
 
-    def test_closed_windows_match_batch_oracle(self, spark_utc, world, piperes):
-        """Every window the streaming job emitted must equal the batch
-        aggregate over the same data (append mode only emits windows the
-        watermark has closed, so compare on emitted windows only)."""
-        agg = spark_utc.read.parquet(piperes["live_agg_dir"]).filter(
-            F.col("metric") == "air.co2"
-        )
-        got = agg.select("bucket", "sensor_id", F.round("value_avg", 4).alias("v"), "n")
-        batch_pts = (
-            etl.accepted_points(
-                etl.validate(
-                    etl.parse_messages(
-                        etl.read_landing_batch(spark_utc, world.landing_dir)
-                    )
-                )
-            )
-            .filter(F.col("metric") == "air.co2")
-            .select("sensor_id", "ts", "value")
-            .toPandas()
-        )
-        emitted = agg.select("bucket", "sensor_id").toPandas()
-        assert_equivalent(
-            got,
-            """
-            WITH b AS (
-              SELECT sensor_id, date_trunc('hour', ts) AS bucket,
-                     round(avg(value), 4) AS v, count(*) AS n
-              FROM pts GROUP BY 1, 2
-            )
-            SELECT b.bucket, b.sensor_id, b.v, b.n
-            FROM b JOIN emitted e
-              ON b.sensor_id = e.sensor_id AND b.bucket = e.bucket
-            """,
-            pts=batch_pts,
-            emitted=emitted,
-        )
 
-    def test_watermark_drops_tail_windows(self, spark_utc, world, piperes):
-        # The last event-time hour cannot be emitted in append mode.
-        agg = spark_utc.read.parquet(piperes["live_agg_dir"])
-        max_bucket = agg.agg(F.max("bucket").alias("m")).collect()[0]["m"]
-        max_ts = world.points.agg(F.max("ts").alias("m")).collect()[0]["m"]
-        assert max_bucket < max_ts
+def _landed_line(counter: int, time: str, gateways: list) -> str:
+    payload = {
+        "co2": 400.0, "no2": 20.0, "pm10": 10.0, "pm25": 5.0, "temperature": 0.0,
+        "pressure": 1000.0, "humidity": 50.0, "battery": 80.0, "interval_min": 5.0,
+    }
+    return json.dumps({
+        "app_id": "ctt", "dev_id": "X-00", "counter": counter, "city": "trondheim",
+        "metadata": {"time": time, "gateways": gateways},
+        "payload_fields": payload,
+    })
+
+
+class TestBadInput:
+    """A bad time or an empty gateway list must not abort the ingest
+    (Spark runs in ANSI mode, where one bad value raises)."""
+
+    @pytest.fixture
+    def landing(self, tmp_path):
+        d = tmp_path / "landing"
+        d.mkdir()
+        (d / "msgs-2017010100.jsonl").write_text("\n".join([
+            _landed_line(0, "2017-01-01T00:00:00Z", [{"gtw_id": "gw-tr-0", "rssi": -100.0}]),
+            _landed_line(1, "garbage", [{"gtw_id": "gw-tr-0", "rssi": -100.0}]),
+            _landed_line(2, "2017-01-01T00:05:00Z", []),
+        ]) + "\n")
+        return str(d)
+
+    def test_batch_and_stream_quarantine_bad_time(self, spark_utc, landing, tmp_path):
+        validated = etl.validate(
+            etl.parse_messages(etl.read_landing_batch(spark_utc, landing))
+        ).collect()
+        assert len(validated) == 3 * len(PAYLOAD_COLS)
+        bad = [r for r in validated if not r["valid"]]
+        assert len(bad) == len(PAYLOAD_COLS)
+        assert {(r["f_cnt"], r["ts"]) for r in bad} == {(1, None)}
+        empty = [r for r in validated if r["f_cnt"] == 2]
+        assert all(r["valid"] and r["n_gateways"] == 0 for r in empty)
+        assert all(r["best_gateway"] is None for r in empty)
+
+        up = {r["f_cnt"]: r for r in etl.uplinks_batch(spark_utc, landing).collect()}
+        assert sorted(up) == [0, 1, 2]
+        assert up[0]["best_gateway"] == "gw-tr-0" and up[0]["n_gateways"] == 1
+        assert up[1]["ts"] is None
+        assert up[2]["n_gateways"] == 0 and up[2]["best_gateway"] is None
+
+        tsdb, quar = str(tmp_path / "tsdb"), str(tmp_path / "quarantine")
+        q = stream.start_ingest(
+            spark_utc, landing, tsdb, str(tmp_path / "ckpt"), quarantine_dir=quar
+        )
+        assert q.awaitTermination(300)
+        assert q.exception() is None
+        stored = store.read(spark_utc, tsdb)
+        assert stored.count() == 2 * len(PAYLOAD_COLS)
+        assert not any("__HIVE_DEFAULT_PARTITION__" in d for d, _, _ in os.walk(tsdb))
+        quarantined = spark_utc.read.parquet(quar).collect()
+        assert len(quarantined) == len(PAYLOAD_COLS)
+        assert {(r["f_cnt"], r["ts"]) for r in quarantined} == {(1, None)}

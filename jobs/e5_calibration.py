@@ -46,13 +46,18 @@ def run(spark, *, sf: float = 0.05, seed: int = 0) -> dict:
     net_after = calibrate.accuracy(net, pred="cal", truth="truth", by=("group", "field")).toPandas()
     transfer = net_before.merge(net_after, on=["group", "field"], suffixes=("_raw", "_cal"))
 
-    num = lambda df: df.round(
-        {c: 3 for c in df.columns if df[c].dtype.kind == "f"}
-    )
+    def num(df, by):
+        """Rows sorted by ``by``, floats rounded to 3 places; ``+ 0.0``
+        prints a rounded negative zero as 0.0."""
+        df = df.sort_values(by, ignore_index=True)
+        f = [c for c in df.columns if df[c].dtype.kind == "f"]
+        df[f] = df[f].round(3) + 0.0
+        return df
+
     return {
-        "coefs": num(coefs.orderBy("city", "field").toPandas()),
-        "co_located": num(colo),
-        "transfer": num(transfer),
+        "coefs": num(coefs.toPandas(), ["city", "field"]),
+        "co_located": num(colo, ["city", "field"]),
+        "transfer": num(transfer, ["group", "field"]),
     }
 
 

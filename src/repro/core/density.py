@@ -51,28 +51,18 @@ def truth_grid_pdf(
     """Ground truth at every grid cell centre × evaluation instant."""
     grid = citygml.grid_pdf()
     grid = grid[grid["city"] == city]
-    rows = []
-    for t in times:
-        vals = field.truth(
-            metric,
-            city,
-            grid["x_c"].to_numpy(),
-            grid["y_c"].to_numpy(),
-            np.full(len(grid), np.datetime64(t, "s")),
-            seed=seed,
-        )
-        rows.append(
-            pd.DataFrame(
-                {
-                    "cell_id": grid["cell_id"].to_numpy(),
-                    "x_c": grid["x_c"].to_numpy(),
-                    "y_c": grid["y_c"].to_numpy(),
-                    "ts": t,
-                    "truth": vals,
-                }
-            )
-        )
-    return pd.concat(rows, ignore_index=True)
+    # One truth call over every (hour, cell), hour-major.
+    tile = lambda c: np.tile(grid[c].to_numpy(), len(times))
+    xs, ys, ts = tile("x_c"), tile("y_c"), times.repeat(len(grid))
+    return pd.DataFrame(
+        {
+            "cell_id": tile("cell_id"),
+            "x_c": xs,
+            "y_c": ys,
+            "ts": ts,
+            "truth": field.truth(metric, city, xs, ys, ts.to_numpy(), seed=seed),
+        }
+    )
 
 
 def _scenario_name(
@@ -129,25 +119,23 @@ def fleet_observations_pdf(
         gains = 1.0 + g.normal(0, gain_s, n_units)
         biases = g.normal(0, bias_s, n_units)
         noise_sd = noise_s
-    rows = []
-    for t in times:
-        truth = field.truth(
-            metric, city, xs, ys, np.full(n_units, np.datetime64(t, "s")), seed=seed
-        )
-        obs = gains * truth + biases + g.normal(0, noise_sd, n_units)
-        rows.append(
-            pd.DataFrame(
-                {
-                    "scenario": scenario,
-                    "unit_id": np.arange(n_units),
-                    "x_m": xs,
-                    "y_m": ys,
-                    "ts": t,
-                    "obs": obs,
-                }
-            )
-        )
-    return pd.concat(rows, ignore_index=True)
+    # One truth call over every (hour, unit), hour-major; the noise is
+    # drawn in the same order, so the stream matches a per-hour loop.
+    xs_t, ys_t = np.tile(xs, len(times)), np.tile(ys, len(times))
+    ts = times.repeat(n_units)
+    truth = field.truth(metric, city, xs_t, ys_t, ts.to_numpy(), seed=seed)
+    noise = g.normal(0, noise_sd, (len(times), n_units))
+    obs = gains * truth.reshape(len(times), n_units) + biases + noise
+    return pd.DataFrame(
+        {
+            "scenario": scenario,
+            "unit_id": np.tile(np.arange(n_units), len(times)),
+            "x_m": xs_t,
+            "y_m": ys_t,
+            "ts": ts,
+            "obs": obs.ravel(),
+        }
+    )
 
 
 def idw_reconstruction(
@@ -161,12 +149,15 @@ def idw_reconstruction(
 
     Spark does the heavy (cell × unit × hour) join: weights
     w = 1/(d+ε)^p over all units of a scenario at each instant, so any
-    number of scenarios reconstruct in one plan. Returns per
+    number of scenarios reconstruct in one plan. The observations are
+    broadcast: they are bounded by construction (at most every swept
+    unit × 24 hours, ~10 k rows), and a shuffle on ``ts`` would put the
+    whole join in as few tasks as there are hours. Returns per
     (scenario, cell_id, ts): estimate, truth, error.
     """
     obs = spark.createDataFrame(observations)
     cells = spark.createDataFrame(truth_grid)
-    j = cells.join(obs, "ts").withColumn(
+    j = cells.join(F.broadcast(obs), "ts").withColumn(
         "d",
         F.sqrt(
             (F.col("x_c") - F.col("x_m")) ** 2 + (F.col("y_c") - F.col("y_m")) ** 2
@@ -181,20 +172,24 @@ def idw_reconstruction(
 
 def score(recon: DataFrame) -> dict:
     """Per scenario: RMSE over (cell, hour), bias, and the spatial RMSE
-    of the time-mean field, as ``{scenario: {rmse, bias, spatial_rmse}}``."""
-    overall = recon.groupBy("scenario").agg(
-        F.sqrt(F.avg(F.col("error") ** 2)).alias("rmse"),
-        F.avg("error").alias("bias"),
+    of the time-mean field, as ``{scenario: {rmse, bias, spatial_rmse}}``.
+
+    All three come from one per-(scenario, cell) partial aggregate, so
+    the reconstruction is computed once."""
+    cell = recon.groupBy("scenario", "cell_id").agg(
+        F.count("*").alias("n"),
+        F.sum(F.col("error") ** 2).alias("sse"),
+        F.sum("error").alias("se"),
+        (F.avg("estimate") - F.avg("truth")).alias("cell_err"),
     )
-    spatial = (
-        recon.groupBy("scenario", "cell_id")
-        .agg((F.avg("estimate") - F.avg("truth")).alias("cell_err"))
-        .groupBy("scenario")
-        .agg(F.sqrt(F.avg(F.col("cell_err") ** 2)).alias("spatial_rmse"))
+    scores = cell.groupBy("scenario").agg(
+        F.sqrt(F.sum("sse") / F.sum("n")).alias("rmse"),
+        (F.sum("se") / F.sum("n")).alias("bias"),
+        F.sqrt(F.avg(F.col("cell_err") ** 2)).alias("spatial_rmse"),
     )
     return {
         r["scenario"]: {k: float(r[k]) for k in ("rmse", "bias", "spatial_rmse")}
-        for r in overall.join(spatial, "scenario").collect()
+        for r in scores.collect()
     }
 
 

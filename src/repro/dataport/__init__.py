@@ -8,8 +8,9 @@ alarm raising, hierarchical sensor-vs-gateway failure disambiguation)
 is what the evaluation exercises, so we reproduce that logic as Spark
 transformations over the uplink stream: twin state via aggregations and
 window functions (:mod:`repro.dataport.twins`), alarm transitions via
-``applyInPandas`` per device (:mod:`repro.dataport.alarms`), and the
-hierarchy via joins (:mod:`repro.dataport.hierarchy`). An external
+one window over each device's packets and evaluation grid
+(:mod:`repro.dataport.alarms`), and the hierarchy via joins
+(:mod:`repro.dataport.hierarchy`). An external
 watchdog (AppBeat in the paper) checks the dataport's own heartbeat
 (:mod:`repro.dataport.watchdog`).
 """

@@ -4,67 +4,18 @@ instants.
 The actor-based dataport re-evaluates each twin whenever time advances;
 we reproduce that as a deterministic sweep — every ``eval_every_min``
 minutes each sensor twin's status is recomputed from its packet history
-and *transitions* become alarm events. Implemented with
-``applyInPandas`` per sensor: the per-device sequential walk is exactly
-the state a digital-twin actor would hold.
+and *transitions* become alarm events. One Spark plan: the evaluation
+grid is unioned with the packets and a per-sensor window carries the
+last packet forward to each instant, exactly the state a digital-twin
+actor would hold.
 """
 from __future__ import annotations
 
-import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
-from repro.dataport.twins import MISS_FAIL, MISS_WARN
-
-ALARM_SCHEMA = (
-    "sensor_id string, city string, ts timestamp, "
-    "status string, prev_status string, missed_cycles long"
-)
-
-
-def _status(missed: np.ndarray) -> np.ndarray:
-    out = np.full(missed.shape, "OK", dtype=object)
-    out[missed >= MISS_WARN] = "WARN"
-    out[missed >= MISS_FAIL] = "FAILED"
-    return out
-
-
-def _sweep_one(pdf: pd.DataFrame) -> pd.DataFrame:
-    """Status transitions for one sensor's packet history.
-
-    ``pdf`` carries the packets plus broadcast columns _start/_end/_step
-    (the evaluation sweep). For each eval instant the twin knows the
-    last packet at or before it and that packet's declared interval.
-    """
-    pdf = pdf.sort_values("ts")
-    start, end = pdf["_start"].iloc[0], pdf["_end"].iloc[0]
-    step = pd.Timedelta(minutes=int(pdf["_step"].iloc[0]))
-    grid = pd.date_range(start, end, freq=step)
-    pkt_ts = pdf["ts"].to_numpy()
-    idx = np.searchsorted(pkt_ts, grid.to_numpy(), side="right") - 1
-    seen = idx >= 0
-    idx_c = np.clip(idx, 0, None)
-    last_seen = pkt_ts[idx_c]
-    interval_min = pdf["interval_min"].to_numpy()[idx_c].astype("float64")
-    gap_min = (grid.to_numpy() - last_seen) / np.timedelta64(60, "s")
-    missed = np.floor(gap_min / interval_min).astype("int64")
-    missed[~seen] = 0
-    status = _status(missed)
-    status[~seen] = "OK"  # twin not instantiated until first packet
-    prev = np.roll(status, 1)
-    prev[0] = "OK"
-    changed = status != prev
-    return pd.DataFrame(
-        {
-            "sensor_id": pdf["sensor_id"].iloc[0],
-            "city": pdf["city"].iloc[0],
-            "ts": grid[changed],
-            "status": status[changed],
-            "prev_status": prev[changed],
-            "missed_cycles": missed[changed],
-        }
-    )
+from repro.dataport.twins import STATUS_OK, status_for
 
 
 def alarm_events(
@@ -79,15 +30,63 @@ def alarm_events(
     Returns sensor_id, city, ts (transition instant), status,
     prev_status, missed_cycles. A transition into WARN/FAILED is an
     alarm being raised; back to OK is the alarm clearing.
+
+    At each instant of the grid ``start, start + eval_every_min, … ≤
+    end`` the twin knows the last packet at or before it (packets sort
+    before grid rows at equal times) and that packet's declared
+    interval; before a sensor's first packet its twin does not exist
+    and reads OK with 0 missed cycles.
     """
-    annotated = (
-        uplinks.select("sensor_id", "city", "ts", "interval_min")
-        .withColumn("_start", F.lit(start).cast("timestamp"))
-        .withColumn("_end", F.lit(end).cast("timestamp"))
-        .withColumn("_step", F.lit(eval_every_min))
+    packets = uplinks.select(
+        "sensor_id", "city", "ts", "interval_min", F.lit(0).alias("kind")
     )
-    return annotated.groupBy("sensor_id").applyInPandas(
-        lambda pdf: _sweep_one(pdf), schema=ALARM_SCHEMA
+    grid = (
+        uplinks.select("sensor_id", "city")
+        .distinct()
+        .select(
+            "sensor_id",
+            "city",
+            F.explode(
+                F.sequence(
+                    F.lit(start).cast("timestamp"),
+                    F.lit(end).cast("timestamp"),
+                    F.make_dt_interval(mins=F.lit(eval_every_min)),
+                )
+            ).alias("ts"),
+            F.lit(None).alias("interval_min"),
+            F.lit(1).alias("kind"),
+        )
+    )
+    upto = (
+        Window.partitionBy("sensor_id")
+        .orderBy("ts", "kind")
+        .rowsBetween(Window.unboundedPreceding, Window.currentRow)
+    )
+    last = lambda c: F.last(
+        F.when(F.col("kind") == 0, F.col(c)), ignorenulls=True
+    ).over(upto)
+    swept = (
+        packets.unionByName(grid)
+        .select(
+            "sensor_id", "city", "ts", "kind",
+            last("ts").alias("last_ts"), last("interval_min").alias("last_interval"),
+        )
+        .filter(F.col("kind") == 1)
+    )
+    missed = F.coalesce(
+        F.floor(
+            (F.unix_micros("ts") - F.unix_micros("last_ts")) / 6e7 / F.col("last_interval")
+        ),
+        F.lit(0),
+    ).cast("long")
+    status = swept.select(
+        "sensor_id", "city", "ts", missed.alias("missed_cycles")
+    ).withColumn("status", status_for(F.col("missed_cycles")))
+    prev = F.lag("status", 1, STATUS_OK).over(Window.partitionBy("sensor_id").orderBy("ts"))
+    return (
+        status.withColumn("prev_status", prev)
+        .filter(F.col("status") != F.col("prev_status"))
+        .select("sensor_id", "city", "ts", "status", "prev_status", "missed_cycles")
     )
 
 

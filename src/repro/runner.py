@@ -25,16 +25,21 @@ def get_spark(app: str) -> SparkSession:
     """The one SparkSession config, for jobs, tests and benchmarks.
 
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` or
-    spark-submit. Broadcast joins are disabled so joins take the shuffle
-    path they take at scale; UTC pins window/bucket semantics to
-    DuckDB's naive timestamps in oracle checks; the console progress bar
-    is off so stderr carries warnings, not ``[Stage n:>`` bars.
+    spark-submit. Automatic broadcast joins are disabled so joins take
+    the shuffle path they take at scale (the one explicit hint is the
+    bounded E7 fleet side, :func:`repro.core.density.idw_reconstruction`);
+    AQE may coalesce the shuffle partitions of a cached plan, so stages
+    over a small cached frame do not run one task per shuffle partition;
+    UTC pins window/bucket semantics to DuckDB's naive timestamps in
+    oracle checks; the console progress bar is off so stderr carries
+    warnings, not ``[Stage n:>`` bars.
     """
     s = (
         SparkSession.builder.appName(app)
         .config("spark.sql.shuffle.partitions", os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"))
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
+        .config("spark.sql.optimizer.canChangeCachedPlanOutputPartitioning", "true")
         .config("spark.sql.session.timeZone", "UTC")
         .config("spark.ui.showConsoleProgress", "false")
         .getOrCreate()

@@ -4,7 +4,9 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.dataport import alarms
+from repro.dataport.twins import MISS_FAIL, MISS_WARN
 from repro.iot import deployment as dep
+from repro.oracle import assert_equivalent
 
 H = lambda h: dep.SIM_START + pd.Timedelta(hours=h)
 
@@ -72,3 +74,86 @@ class TestDetectionLatency:
         inj = pd.DataFrame([{"sensor_id": "T-00", "start": H(200)}])
         lat = alarms.detection_latency(events, inj)
         assert lat["detected_at"].isna().all()
+
+
+def alarm_sql(start, end, step_min: int = 5) -> str:
+    """The sweep as DuckDB SQL over ``up``: an as-of join of each
+    sensor's evaluation grid to its last uplink at or before each
+    instant, missed cycles, the twin thresholds and the transitions."""
+    return f"""
+        WITH g AS (
+          SELECT s.sensor_id, s.city, gs.t
+          FROM (SELECT DISTINCT sensor_id, city FROM up) s,
+               generate_series(TIMESTAMP '{start}', TIMESTAMP '{end}',
+                               INTERVAL {step_min} MINUTE) gs(t)
+        ),
+        a AS (
+          SELECT g.sensor_id, g.city, g.t AS ts,
+                 coalesce(floor((epoch_us(g.t) - epoch_us(u.ts)) / 6e7 / u.interval_min),
+                          0)::BIGINT AS missed_cycles
+          FROM g ASOF LEFT JOIN up u ON g.sensor_id = u.sensor_id AND u.ts <= g.t
+        ),
+        s AS (
+          SELECT *, CASE WHEN missed_cycles < {MISS_WARN} THEN 'OK'
+                         WHEN missed_cycles < {MISS_FAIL} THEN 'WARN'
+                         ELSE 'FAILED' END AS status
+          FROM a
+        )
+        SELECT * FROM (
+          SELECT *, lag(status, 1, 'OK') OVER (PARTITION BY sensor_id ORDER BY ts)
+                    AS prev_status
+          FROM s
+        )
+        WHERE status <> prev_status
+    """
+
+
+class TestSweepOracle:
+    def test_world_transitions_match_oracle(self, world, events):
+        up = world.uplinks.select("sensor_id", "city", "ts", "interval_min")
+        assert events.count() > 0
+        assert_equivalent(events, alarm_sql(dep.SIM_START, H(71)), up=up)
+
+    #: Two sensors from 00:00 to 01:02:30 (off the 5-min grid; the last
+    #: instant is 01:00). A: packets on grid instants, its last one
+    #: switching to a 20-min interval in front of a 20-min gap. B: first
+    #: heard at 00:12:30, after the sweep starts.
+    PACKETS = [
+        ("A", "00:00:00", 5.0), ("A", "00:05:00", 5.0), ("A", "00:40:00", 20.0),
+        ("B", "00:12:30", 5.0), ("B", "00:50:00", 5.0),
+    ]
+    EXPECTED = [
+        ("A", "00:15", "WARN", "OK", 2),
+        ("A", "00:25", "FAILED", "WARN", 4),
+        ("A", "00:40", "OK", "FAILED", 0),  # packet sorts before the instant
+        ("B", "00:25", "WARN", "OK", 2),
+        ("B", "00:35", "FAILED", "WARN", 4),
+        ("B", "00:50", "OK", "FAILED", 0),
+        ("B", "01:00", "WARN", "OK", 2),
+    ]
+
+    @pytest.fixture(scope="class")
+    def hand(self, spark_utc):
+        day = pd.Timestamp("2017-01-01")
+        up = spark_utc.createDataFrame(
+            pd.DataFrame(
+                [(sid, "x", day + pd.Timedelta(t), iv) for sid, t, iv in self.PACKETS],
+                columns=["sensor_id", "city", "ts", "interval_min"],
+            )
+        )
+        start, end = day, day + pd.Timedelta("01:02:30")
+        return up, start, end, alarms.alarm_events(up, start=start, end=end)
+
+    def test_hand_built_transitions(self, hand):
+        _, start, _, ev = hand
+        got = ev.orderBy("sensor_id", "ts").toPandas()
+        want = pd.DataFrame(
+            [(sid, "x", start + pd.Timedelta(f"{t}:00"), st, prev, m)
+             for sid, t, st, prev, m in self.EXPECTED],
+            columns=["sensor_id", "city", "ts", "status", "prev_status", "missed_cycles"],
+        )
+        pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
+    def test_hand_built_matches_oracle(self, hand):
+        up, start, end, ev = hand
+        assert_equivalent(ev, alarm_sql(start, end), up=up)

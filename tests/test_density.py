@@ -4,6 +4,9 @@ import pandas as pd
 import pytest
 
 from repro.core import density
+from repro.external import citygml
+from repro.iot import field
+from repro.iot.sensor import ERROR_MODEL, stable_seed
 from repro.oracle import assert_equivalent
 
 
@@ -39,6 +42,56 @@ class TestObservations:
         a = density.fleet_observations_pdf("vejle", 10, density.eval_times(), seed=1)
         b = density.fleet_observations_pdf("vejle", 10, density.eval_times(), seed=1)
         assert a.equals(b)
+
+
+class TestVectorisedGenerators:
+    """The E7 frames equal a per-hour loop: one ``field.truth`` call and
+    one noise draw per hour, in hour order."""
+
+    TIMES = density.eval_times(hours=3)
+
+    def test_fleet_matches_per_hour_loop(self):
+        n, (gain_s, bias_s, noise_s) = 5, ERROR_MODEL["no2"]
+        g = np.random.default_rng(stable_seed("fleet", "trondheim", n, False, 0))
+        k = 3  # ceil(sqrt(5))
+        cells = g.permutation(k * k)[:n]
+        xs = -2500 + (cells % k + g.random(n)) * (5000 / k)
+        ys = -2500 + (cells // k + g.random(n)) * (5000 / k)
+        gains, biases = 1.0 + g.normal(0, gain_s, n), g.normal(0, bias_s, n)
+        want = pd.concat(
+            [
+                pd.DataFrame({
+                    "scenario": "lowcost_5", "unit_id": np.arange(n), "x_m": xs, "y_m": ys,
+                    "ts": t,
+                    "obs": gains * field.truth("no2", "trondheim", xs, ys,
+                                               np.full(n, np.datetime64(t, "s")))
+                    + biases + g.normal(0, noise_s, n),
+                })
+                for t in self.TIMES
+            ],
+            ignore_index=True,
+        )
+        got = density.fleet_observations_pdf("trondheim", n, self.TIMES)
+        pd.testing.assert_frame_equal(got, want, check_exact=True)
+
+    def test_truth_grid_matches_per_hour_loop(self):
+        grid = citygml.grid_pdf()
+        grid = grid[grid["city"] == "trondheim"]
+        want = pd.concat(
+            [
+                pd.DataFrame({
+                    "cell_id": grid["cell_id"].to_numpy(),
+                    "x_c": grid["x_c"].to_numpy(), "y_c": grid["y_c"].to_numpy(), "ts": t,
+                    "truth": field.truth("no2", "trondheim", grid["x_c"].to_numpy(),
+                                         grid["y_c"].to_numpy(),
+                                         np.full(len(grid), np.datetime64(t, "s"))),
+                })
+                for t in self.TIMES
+            ],
+            ignore_index=True,
+        )
+        got = density.truth_grid_pdf("trondheim", self.TIMES)
+        pd.testing.assert_frame_equal(got, want, check_exact=True)
 
 
 class TestReconstruction:

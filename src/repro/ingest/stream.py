@@ -32,11 +32,6 @@ from repro.lorawan.mqtt import MESSAGE_SCHEMA
 from repro.tsdb import store
 
 
-def read_stream(spark: SparkSession, landing_dir: str) -> DataFrame:
-    """Streaming source over the MQTT landing zone."""
-    return spark.readStream.schema(MESSAGE_SCHEMA).json(landing_dir)
-
-
 def start_ingest(
     spark: SparkSession,
     landing_dir: str,
@@ -61,7 +56,7 @@ def start_ingest(
             validated.unpersist()
 
     return (
-        read_stream(spark, landing_dir)
+        spark.readStream.schema(MESSAGE_SCHEMA).json(landing_dir)
         .writeStream.foreachBatch(_sink)
         .option("checkpointLocation", checkpoint_dir)
         .trigger(availableNow=True)

@@ -19,6 +19,12 @@ metric vector, battery level and a monotone LoRaWAN frame counter.
 Faults (:mod:`repro.iot.faults`) modify behaviour: ``death`` stops
 transmissions, ``drift`` decays a metric's gain over time, ``flatline``
 freezes a metric's output.
+
+Only the battery recurrence is sequential, so it is the one scalar loop
+(:func:`_transmissions`): it yields the transmitted ticks and the
+battery level at each. Everything else is array arithmetic over those
+ticks — one ground-truth call per (city, metric) for all the city's
+nodes, then gain, drift, bias, noise, flatline and rounding per metric.
 """
 from __future__ import annotations
 
@@ -92,6 +98,29 @@ def interval_ticks_for(battery: float) -> int:
     return INTERVAL_TICKS[-1][1]
 
 
+def _transmissions(irradiance: np.ndarray, n_ticks: int) -> tuple[np.ndarray, np.ndarray]:
+    """The battery recurrence over the first ``n_ticks`` ticks.
+
+    Returns the index of every transmitted tick and the battery level
+    (%) the node measured there, before paying the TX cost. This is the
+    simulator's only sequential step: whether a tick transmits depends
+    on the level the previous transmissions left.
+    """
+    charge = (CHARGE_PER_TICK_FULL_SUN * irradiance[:n_ticks]).tolist()
+    battery = BATTERY_START
+    next_tx = 0
+    idx, level = [], []
+    for i, c in enumerate(charge):
+        battery = max(0.0, min(100.0, battery + c - IDLE_COST_PER_TICK))
+        if i < next_tx or battery <= 1.0:
+            continue
+        idx.append(i)
+        level.append(battery)
+        battery = max(0.0, battery - TX_COST)
+        next_tx = i + interval_ticks_for(battery)
+    return np.array(idx, dtype="int64"), np.array(level, dtype="float64")
+
+
 def _simulate_node(
     row: pd.Series,
     grid: pd.DatetimeIndex,
@@ -100,108 +129,73 @@ def _simulate_node(
     faults: list[Fault],
     seed: int,
 ) -> pd.DataFrame:
-    """Walk one node through the tick grid; return its transmitted rows."""
+    """One node's transmitted rows over the tick grid.
+
+    ``truth_by_metric`` maps each metric to its ground truth on ``grid``.
+    The node stops at its (earliest) death; a metric's drift scales its
+    gain from the fault's start, and a flatline holds the value of the
+    first transmission at or after its start, drift included.
+    """
     sensor_id = row["sensor_id"]
     calib = node_calibration(sensor_id, seed=seed)
     g = np.random.default_rng(stable_seed("noise", sensor_id, seed))
-    n = len(grid)
-    grid64 = grid.values.astype("datetime64[s]")
+    # Noise is drawn for every tick, metric by metric, so a node's noise
+    # at a tick does not depend on which ticks it transmitted.
+    noise = {m: g.normal(0.0, ERROR_MODEL[m][2], len(grid)) for m in field.ALL_METRICS}
 
-    my_faults = [f for f in faults if f.sensor_id == sensor_id]
-    death_at = min(
-        (f.start for f in my_faults if f.kind == "death"), default=None
+    mine = [f for f in faults if f.sensor_id == sensor_id]
+    death = min((f.start for f in mine if f.kind == "death"), default=None)
+    drift = {f.metric: f for f in mine if f.kind == "drift"}
+    flat = {f.metric: f for f in mine if f.kind == "flatline"}
+
+    alive = len(grid) if death is None else grid.searchsorted(death)
+    idx, battery = _transmissions(irradiance, alive)
+    ts = grid.values[idx].astype("datetime64[s]")
+    out = {"sensor_id": sensor_id, "city": row["city"], "ts": grid[idx]}
+    for m in field.ALL_METRICS:
+        gain = np.full(len(idx), calib.gain[m])
+        if m in drift:
+            start = np.datetime64(drift[m].start, "s")
+            on = ts >= start
+            hrs = (ts[on] - start) / np.timedelta64(3600, "s")
+            gain[on] *= 1.0 + drift[m].rate_per_hour * hrs
+        val = gain * truth_by_metric[m][idx] + calib.bias[m] + noise[m][idx]
+        if m in flat:
+            stuck = ts >= np.datetime64(flat[m].start, "s")
+            val[stuck] = val[stuck][:1]
+        out[m] = np.round(val, 3)
+    out["battery"] = np.round(battery, 3)
+    out["interval_min"] = BASE_INTERVAL_MIN * np.select(
+        [battery >= t for t, _ in INTERVAL_TICKS], [k for _, k in INTERVAL_TICKS]
     )
-    drift = {f.metric: f for f in my_faults if f.kind == "drift"}
-    flat = {f.metric: f for f in my_faults if f.kind == "flatline"}
-
-    # Pre-draw noise for all ticks/metrics (only transmitted ticks used).
-    noise = {
-        m: g.normal(0.0, ERROR_MODEL[m][2], n) for m in field.ALL_METRICS
-    }
-
-    battery = BATTERY_START
-    next_tx = 0
-    f_cnt = 0
-    out: list[dict] = []
-    flat_value: dict = {}
-    for i in range(n):
-        battery = min(
-            100.0,
-            battery + CHARGE_PER_TICK_FULL_SUN * irradiance[i] - IDLE_COST_PER_TICK,
-        )
-        battery = max(0.0, battery)
-        if i < next_tx or battery <= 1.0:
-            continue
-        ts = grid64[i]
-        dead = death_at is not None and ts >= np.datetime64(death_at, "s")
-        if not dead:
-            rec = {
-                "sensor_id": sensor_id,
-                "city": row["city"],
-                "ts": grid[i],
-                "battery": round(battery, 3),
-                "interval_min": interval_ticks_for(battery) * BASE_INTERVAL_MIN,
-                "f_cnt": f_cnt,
-            }
-            for m in field.ALL_METRICS:
-                gain = calib.gain[m]
-                if m in drift and ts >= np.datetime64(drift[m].start, "s"):
-                    hrs = (ts - np.datetime64(drift[m].start, "s")) / np.timedelta64(
-                        3600, "s"
-                    )
-                    gain *= 1.0 + drift[m].rate_per_hour * float(hrs)
-                val = gain * truth_by_metric[m][i] + calib.bias[m] + noise[m][i]
-                if m in flat and ts >= np.datetime64(flat[m].start, "s"):
-                    if m not in flat_value:
-                        flat_value[m] = val
-                    val = flat_value[m]
-                rec[m] = round(float(val), 3)
-            out.append(rec)
-            battery = max(0.0, battery - TX_COST)
-            f_cnt += 1
-        next_tx = i + interval_ticks_for(battery)
-    cols = [
-        "sensor_id",
-        "city",
-        "ts",
-        *field.ALL_METRICS,
-        "battery",
-        "interval_min",
-        "f_cnt",
-    ]
-    return pd.DataFrame(out, columns=cols)
+    out["f_cnt"] = np.arange(len(idx))
+    return pd.DataFrame(out)
 
 
 def simulate_readings_pdf(
     *,
     sf: float = 0.01,
     seed: int = 0,
-    sensors: pd.DataFrame | None = None,
     faults: list[Fault] | None = None,
 ) -> pd.DataFrame:
-    """All transmitted measurements for a deployment at scale ``sf``.
+    """All transmitted measurements for the deployment at scale ``sf``.
 
     Columns: sensor_id, city, ts, co2, no2, pm10, pm25, temperature,
     pressure, humidity, battery (%), interval_min, f_cnt.
     """
-    sensors = deployment.sensors_pdf() if sensors is None else sensors
     grid = deployment.time_grid(sf)
     faults = faults or []
     parts = []
-    irr = {
-        city: field.solar_irradiance(city, grid.values, seed=seed)
-        for city in sensors["city"].unique()
-    }
-    for _, srow in sensors.iterrows():
+    for city, nodes in deployment.sensors_pdf().groupby("city"):
+        irr = field.solar_irradiance(city, grid.values, seed=seed)
+        # One (node, tick) truth array per metric for the city's nodes.
+        xy = nodes[["x_m", "y_m"]].to_numpy()
         truths = {
-            m: field.truth(
-                m, srow["city"], srow["x_m"], srow["y_m"], grid.values, seed=seed
-            )
+            m: field.truth(m, city, xy[:, :1], xy[:, 1:], grid.values, seed=seed)
             for m in field.ALL_METRICS
         }
-        parts.append(
-            _simulate_node(srow, grid, irr[srow["city"]], truths, faults, seed)
-        )
+        for j, (_, srow) in enumerate(nodes.iterrows()):
+            node_truth = {m: t[j] for m, t in truths.items()}
+            parts.append(_simulate_node(srow, grid, irr, node_truth, faults, seed))
     pdf = pd.concat(parts, ignore_index=True)
     return pdf.sort_values(["ts", "sensor_id"]).reset_index(drop=True)
-

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, Window
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.iot import deployment
@@ -35,8 +35,6 @@ PAYLOAD_COLS = [
 def receptions_pdf(
     readings: pd.DataFrame,
     *,
-    gateways: pd.DataFrame | None = None,
-    sensors: pd.DataFrame | None = None,
     outages: list[GatewayOutage] | None = None,
     seed: int = 0,
 ) -> pd.DataFrame:
@@ -45,12 +43,10 @@ def receptions_pdf(
     Columns = reading columns + gateway_id + rssi. Packets heard by no
     gateway are absent (lost). Deterministic in ``seed``.
     """
-    gateways = deployment.gateways_pdf() if gateways is None else gateways
-    sensors = deployment.sensors_pdf() if sensors is None else sensors
     outages = outages or []
-    pos = sensors.set_index("sensor_id")[["x_m", "y_m", "city"]]
+    pos = deployment.sensors_pdf().set_index("sensor_id")[["x_m", "y_m", "city"]]
     parts = []
-    for city, city_gw in gateways.groupby("city"):
+    for city, city_gw in deployment.gateways_pdf().groupby("city"):
         city_rd = readings[readings["city"] == city]
         if city_rd.empty:
             continue
@@ -84,30 +80,29 @@ def ttn_dedup(receptions_df: DataFrame) -> DataFrame:
     """TTN-backend deduplication as a Spark transformation.
 
     Collapses per-gateway receptions of the same uplink — keyed by
-    (sensor_id, f_cnt) — into one message: the payload from the
-    best-RSSI reception plus ``gateways`` (array of structs with
-    gateway_id/rssi, strongest first) and ``n_gateways``.
+    (sensor_id, f_cnt) — into one message in one aggregate: the payload
+    (every reading column) of the best-RSSI reception, ``n_gateways``,
+    and ``gateways`` (array of structs gtw_id/rssi, strongest first).
+    Equal RSSIs are ordered by gateway id, for the payload and the list
+    alike.
     """
-    w = Window.partitionBy("sensor_id", "f_cnt").orderBy(
-        F.desc("rssi"), F.asc("gateway_id")
+    rank = F.struct((-F.col("rssi")).alias("neg_rssi"), F.col("gateway_id"))
+    payload = [c for c in receptions_df.columns
+               if c not in ("sensor_id", "f_cnt", "gateway_id", "rssi")]
+    heard = F.struct(
+        rank.alias("k"), F.col("gateway_id").alias("gtw_id"), F.col("rssi")
     )
-    gw_struct = F.struct(
-        F.col("gateway_id").alias("gtw_id"), F.col("rssi").alias("rssi")
-    )
-    ranked = receptions_df.withColumn("_rank", F.row_number().over(w))
-    agg = (
-        ranked.groupBy("sensor_id", "f_cnt")
+    return (
+        receptions_df.groupBy("sensor_id", "f_cnt")
         .agg(
-            F.sort_array(
-                F.collect_list(F.struct(F.col("_rank"), gw_struct.alias("g")))
-            ).alias("_sorted"),
+            F.min_by(F.struct(*payload), rank).alias("best"),
             F.count(F.lit(1)).alias("n_gateways"),
+            F.transform(
+                F.sort_array(F.collect_list(heard)), lambda g: g.dropFields("k")
+            ).alias("gateways"),
         )
-        .withColumn("gateways", F.col("_sorted.g"))
-        .drop("_sorted")
+        .select("sensor_id", "f_cnt", "best.*", "n_gateways", "gateways")
     )
-    best = ranked.filter(F.col("_rank") == 1).drop("_rank", "gateway_id", "rssi")
-    return best.join(agg, ["sensor_id", "f_cnt"], "inner")
 
 
 def loss_accounting(

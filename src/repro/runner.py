@@ -36,7 +36,7 @@ def get_spark(app: str) -> SparkSession:
     """
     s = (
         SparkSession.builder.appName(app)
-        .config("spark.sql.shuffle.partitions", os.environ.get("SPARK_SHUFFLE_PARTITIONS", "64"))
+        .config("spark.sql.shuffle.partitions", 64)
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .config("spark.sql.optimizer.canChangeCachedPlanOutputPartitioning", "true")

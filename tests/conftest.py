@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro import runner
+from repro.ingest import stream
 
 TEST_SF = 0.008
 SEED = 0
@@ -40,6 +41,18 @@ def clean_world(spark_utc, tmp_path_factory) -> runner.World:
     """A fault-free, outage-free world for tests where injected faults
     would be noise (calibration, battery, dashboards)."""
     return _cached_world(spark_utc, tmp_path_factory, with_faults=False)
+
+
+@pytest.fixture(scope="session")
+def streamed(spark_utc, world, tmp_path_factory) -> dict:
+    """The ``world`` landing zone through the Structured Streaming ingest,
+    once per session: ``run_pipeline``'s paths plus ``points``, the
+    streamed TSDB (cached)."""
+    res = stream.run_pipeline(
+        spark_utc, world.landing_dir, str(tmp_path_factory.mktemp("stream_work"))
+    )
+    res["points"] = spark_utc.read.parquet(res["tsdb_root"]).cache()
+    return res
 
 
 @pytest.fixture(scope="session")

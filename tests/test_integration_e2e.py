@@ -4,22 +4,12 @@ sensors → LoRaWAN → TTN dedup → MQTT landing → Structured Streaming →
 TSDB → dashboards/analyses, with completeness accounting at each hop.
 """
 import pandas as pd
-import pytest
 from pyspark.sql import functions as F
 
 from repro.core import dashboard, harmonize
-from repro.ingest import stream
 from repro.iot import deployment as dep
 from repro.lorawan.network import PAYLOAD_COLS
 from repro.tsdb import query, store
-
-
-@pytest.fixture(scope="module")
-def flow(spark_utc, world, tmp_path_factory):
-    work = str(tmp_path_factory.mktemp("e2e"))
-    res = stream.run_pipeline(spark_utc, world.landing_dir, work)
-    res["points"] = spark_utc.read.parquet(res["tsdb_root"]).cache()
-    return res
 
 
 class TestCompletenessChain:
@@ -34,43 +24,43 @@ class TestCompletenessChain:
     def test_landed_vs_uplinks(self, world):
         assert world.uplinks.count() == world.n_landed
 
-    def test_points_explosion(self, world, flow):
-        accepted = flow["points"].count()
+    def test_points_explosion(self, world, streamed):
+        accepted = streamed["points"].count()
         quarantined = world.quarantined.count()
         assert accepted + quarantined == world.n_landed * len(PAYLOAD_COLS)
 
-    def test_per_sensor_chain(self, world, flow):
+    def test_per_sensor_chain(self, world, streamed):
         # For one healthy sensor: every delivered packet reaches the TSDB.
         delivered = len(
             world.receptions_pdf[world.receptions_pdf["sensor_id"] == "T-00"]
             .drop_duplicates(["f_cnt"])
         )
-        stored = flow["points"].filter(
+        stored = streamed["points"].filter(
             "sensor_id = 'T-00' AND metric = 'air.co2'"
         ).count()
         assert stored == delivered
 
 
 class TestAnalysesOnStreamedData:
-    def test_dashboard_from_tsdb(self, spark_utc, flow):
-        pts = store.read(spark_utc, flow["tsdb_root"], metric="air.no2")
+    def test_dashboard_from_tsdb(self, spark_utc, streamed):
+        pts = store.read(spark_utc, streamed["tsdb_root"], metric="air.no2")
         aq = dashboard.air_quality_index(
-            store.read(spark_utc, flow["tsdb_root"])
+            store.read(spark_utc, streamed["tsdb_root"])
         )
         assert aq.count() == 14
         s = query.series(pts, "1h-avg")
         assert s.count() > 0
 
-    def test_harmonized_frame_from_tsdb(self, spark_utc, flow, nilu_df, traffic_df):
+    def test_harmonized_frame_from_tsdb(self, spark_utc, streamed, nilu_df, traffic_df):
         wide = harmonize.integrated_city_frame(
-            store.read(spark_utc, flow["tsdb_root"]), nilu_df, traffic_df
+            store.read(spark_utc, streamed["tsdb_root"]), nilu_df, traffic_df
         )
         assert wide.filter("air_co2 IS NOT NULL AND jam_factor IS NOT NULL").count() > 100
 
-    def test_faults_visible_end_to_end(self, spark_utc, flow):
+    def test_faults_visible_end_to_end(self, spark_utc, streamed):
         # T-03 died at hour 30: its last TSDB point is right before.
         last = (
-            store.read(spark_utc, flow["tsdb_root"], sensor_id="T-03")
+            store.read(spark_utc, streamed["tsdb_root"], sensor_id="T-03")
             .agg(F.max("ts").alias("m"))
             .collect()[0]["m"]
         )
@@ -79,14 +69,14 @@ class TestAnalysesOnStreamedData:
         assert last > death - pd.Timedelta(hours=1)
 
     def test_gateway_outage_invisible_in_data_but_visible_in_metadata(
-        self, spark_utc, world, flow
+        self, spark_utc, world, streamed
     ):
         """The §2.3 punchline: during gw-tr-1's outage the *data* keeps
         flowing (coverage overlap) while the *network metadata* shows
         the hole — exactly why the dataport monitors metadata."""
         o = world.outages[0]
         pts = store.read(
-            spark_utc, flow["tsdb_root"], metric="air.co2", city="trondheim",
+            spark_utc, streamed["tsdb_root"], metric="air.co2", city="trondheim",
             start=o.start, end=o.end,
         )
         assert pts.select("sensor_id").distinct().count() >= 11

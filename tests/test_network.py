@@ -1,4 +1,5 @@
 """Packet transport: receptions, TTN dedup, loss accounting."""
+import duckdb
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
@@ -61,6 +62,38 @@ class TestTTNDedup:
         row = dedup.filter("n_gateways >= 2").first()
         rssis = [g["rssi"] for g in row["gateways"]]
         assert rssis == sorted(rssis, reverse=True)
+
+    def test_whole_output_matches_duckdb_oracle(self, spark_utc, world):
+        """Every uplink's payload, n_gateways and gateway list (strongest
+        first, equal RSSIs by gateway id) equal DuckDB's, row for row."""
+        rec = world.receptions_pdf
+        tied = duckdb.sql("""
+            SELECT count(*) FROM (SELECT sensor_id, f_cnt FROM rec
+              GROUP BY sensor_id, f_cnt HAVING count(DISTINCT rssi) < count(*))
+        """).fetchone()[0]
+        assert tied > 0  # the gateway-id tie-break is exercised
+        # Every reception of an uplink carries the same payload.
+        want = duckdb.sql("""
+            SELECT any_value(COLUMNS(* EXCLUDE (sensor_id, f_cnt, gateway_id, rssi))),
+                   sensor_id, f_cnt, count(*) AS n_gateways,
+                   list({'gtw_id': gateway_id, 'rssi': rssi}
+                        ORDER BY rssi DESC, gateway_id) AS gateways
+            FROM rec GROUP BY sensor_id, f_cnt
+        """).df()
+        got = network.ttn_dedup(spark_utc.createDataFrame(rec)).toPandas()
+        assert list(got.columns) == [
+            "sensor_id", "f_cnt", *rec.columns.drop(["sensor_id", "f_cnt", "gateway_id", "rssi"]),
+            "n_gateways", "gateways",
+        ]
+        for df in (got, want):
+            df["ts"] = df["ts"].astype("datetime64[ns]")
+            df["gateways"] = [[(g["gtw_id"], g["rssi"]) for g in gws] for gws in df["gateways"]]
+        keys = ["sensor_id", "f_cnt"]
+        pd.testing.assert_frame_equal(
+            got.sort_values(keys).reset_index(drop=True),
+            want[got.columns].sort_values(keys).reset_index(drop=True),
+            check_exact=True,
+        )
 
     def test_count_matches_distinct_uplinks_oracle(self, spark_utc, world):
         rec = world.receptions_pdf[["sensor_id", "f_cnt", "city"]]

@@ -178,3 +178,89 @@ class TestAdaptiveRate:
         intervals = out["interval_min"].to_numpy()
         assert (intervals[levels >= 30] == 5).all()
         assert (intervals[(levels < 30) & (levels >= 15)] == 10).all()
+
+
+def _reference_readings(sf: float, seed: int, faults: list) -> pd.DataFrame:
+    """The per-tick simulator: one dict per transmitted tick, with the
+    truth sampled per sensor. The array simulator must equal it exactly."""
+    grid = dep.time_grid(sf)
+    rows = []
+    for _, s in dep.sensors_pdf().iterrows():
+        sid, city = s["sensor_id"], s["city"]
+        irr = field.solar_irradiance(city, grid.values, seed=seed)
+        truth = {m: field.truth(m, city, s["x_m"], s["y_m"], grid.values, seed=seed)
+                 for m in field.ALL_METRICS}
+        calib = sensor.node_calibration(sid, seed=seed)
+        g = np.random.default_rng(sensor.stable_seed("noise", sid, seed))
+        noise = {m: g.normal(0.0, sensor.ERROR_MODEL[m][2], len(grid))
+                 for m in field.ALL_METRICS}
+        mine = [f for f in faults if f.sensor_id == sid]
+        death = min((f.start for f in mine if f.kind == "death"), default=None)
+        drift = {f.metric: f for f in mine if f.kind == "drift"}
+        flat = {f.metric: f for f in mine if f.kind == "flatline"}
+        battery, next_tx, f_cnt, held = sensor.BATTERY_START, 0, 0, {}
+        for i, ts in enumerate(grid):
+            battery = max(0.0, min(100.0, battery + sensor.CHARGE_PER_TICK_FULL_SUN
+                                   * irr[i] - sensor.IDLE_COST_PER_TICK))
+            if i < next_tx or battery <= 1.0:
+                continue
+            if death is None or ts < death:
+                rec = {"sensor_id": sid, "city": city, "ts": ts}
+                for m in field.ALL_METRICS:
+                    gain = calib.gain[m]
+                    if m in drift and ts >= drift[m].start:
+                        hrs = (ts - drift[m].start) / pd.Timedelta(hours=1)
+                        gain *= 1.0 + drift[m].rate_per_hour * hrs
+                    val = gain * truth[m][i] + calib.bias[m] + noise[m][i]
+                    if m in flat and ts >= flat[m].start:
+                        val = held.setdefault(m, val)
+                    rec[m] = round(float(val), 3)
+                rec["battery"] = round(battery, 3)
+                rec["interval_min"] = sensor.interval_ticks_for(battery) * sensor.BASE_INTERVAL_MIN
+                rec["f_cnt"] = f_cnt
+                rows.append(rec)
+                battery = max(0.0, battery - sensor.TX_COST)
+                f_cnt += 1
+            next_tx = i + sensor.interval_ticks_for(battery)
+    return pd.DataFrame(rows).sort_values(["ts", "sensor_id"]).reset_index(drop=True)
+
+
+class TestMatchesPerTickReference:
+    """The array simulator against the per-tick loop on a 2-day window."""
+
+    SF = 0.005  # 2 simulated days
+    FAULTS = [
+        # A death between two ticks: the node's last row is the tick before.
+        Fault("T-03", "death", dep.SIM_START + pd.Timedelta(hours=30, seconds=150)),
+        # Drift, then a flatline of the same metric: the held value is drifted.
+        Fault("T-05", "drift", dep.SIM_START + pd.Timedelta(hours=6), metric="co2",
+              rate_per_hour=0.01),
+        Fault("T-05", "flatline", dep.SIM_START + pd.Timedelta(hours=20), metric="co2"),
+        Fault("V-01", "flatline", dep.SIM_START + pd.Timedelta(hours=9, minutes=2),
+              metric="pm25"),
+    ]
+
+    def test_with_faults(self):
+        got = sensor.simulate_readings_pdf(sf=self.SF, seed=1, faults=self.FAULTS)
+        pd.testing.assert_frame_equal(
+            got, _reference_readings(self.SF, 1, self.FAULTS), check_exact=True
+        )
+        assert got[got["sensor_id"] == "T-03"]["ts"].max() == (
+            dep.SIM_START + pd.Timedelta(hours=30)
+        )
+
+    def test_low_battery_crosses_every_threshold(self, monkeypatch):
+        # The TestAdaptiveRate start (31 %, no sun), with an idle cost high
+        # enough that every node falls through 30 % and 15 % and reaches the
+        # 1 % gate inside the window.
+        monkeypatch.setattr(sensor, "BATTERY_START", 31.0)
+        monkeypatch.setattr(sensor, "IDLE_COST_PER_TICK", 0.06)
+        monkeypatch.setattr(
+            field, "solar_irradiance", lambda city, ts, seed=0: np.zeros(len(ts))
+        )
+        got = sensor.simulate_readings_pdf(sf=self.SF, seed=0, faults=self.FAULTS)
+        assert set(got["interval_min"]) == {5, 10, 20}
+        assert got["ts"].max() < dep.SIM_START + pd.Timedelta(days=2, hours=-1)
+        pd.testing.assert_frame_equal(
+            got, _reference_readings(self.SF, 0, self.FAULTS), check_exact=True
+        )

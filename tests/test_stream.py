@@ -13,61 +13,55 @@ from repro.lorawan.network import PAYLOAD_COLS
 from repro.tsdb import query, store
 
 
-@pytest.fixture(scope="module")
-def piperes(spark_utc, world, tmp_path_factory):
-    work = str(tmp_path_factory.mktemp("stream_work"))
-    return stream.run_pipeline(spark_utc, world.landing_dir, work)
-
-
 class TestStreamingIngest:
-    def test_tsdb_written(self, spark_utc, piperes):
-        pts = spark_utc.read.parquet(piperes["tsdb_root"])
+    def test_tsdb_written(self, spark_utc, streamed):
+        pts = spark_utc.read.parquet(streamed["tsdb_root"])
         assert pts.count() > 0
 
-    def test_streaming_equals_batch(self, spark_utc, world, piperes):
-        streamed = spark_utc.read.parquet(piperes["tsdb_root"])
+    def test_streaming_equals_batch(self, spark_utc, world, streamed):
+        stored = spark_utc.read.parquet(streamed["tsdb_root"])
         batch = etl.accepted_points(
             etl.validate(
                 etl.parse_messages(etl.read_landing_batch(spark_utc, world.landing_dir))
             )
         )
-        assert streamed.count() == batch.count()
-        s_sum = streamed.agg(F.round(F.sum("value"), 2).alias("s")).collect()[0]["s"]
+        assert stored.count() == batch.count()
+        s_sum = stored.agg(F.round(F.sum("value"), 2).alias("s")).collect()[0]["s"]
         b_sum = batch.agg(F.round(F.sum("value"), 2).alias("s")).collect()[0]["s"]
         assert abs(s_sum - b_sum) < 0.05
 
-    def test_partitioned_by_metric_and_date(self, piperes):
-        entries = os.listdir(piperes["tsdb_root"])
+    def test_partitioned_by_metric_and_date(self, streamed):
+        entries = os.listdir(streamed["tsdb_root"])
         assert any(e.startswith("metric=") for e in entries)
         m0 = [e for e in entries if e.startswith("metric=")][0]
-        sub = os.listdir(os.path.join(piperes["tsdb_root"], m0))
+        sub = os.listdir(os.path.join(streamed["tsdb_root"], m0))
         assert any(e.startswith("date=") for e in sub)
 
-    def test_quarantine_written(self, spark_utc, piperes, world):
-        q = spark_utc.read.parquet(piperes["quarantine_dir"])
+    def test_quarantine_written(self, spark_utc, streamed, world):
+        q = spark_utc.read.parquet(streamed["quarantine_dir"])
         assert q.count() == world.quarantined.count()
 
-    def test_checkpoint_makes_rerun_a_noop(self, spark_utc, world, piperes, tmp_path_factory):
-        before = spark_utc.read.parquet(piperes["tsdb_root"]).count()
+    def test_checkpoint_makes_rerun_a_noop(self, spark_utc, world, streamed, tmp_path_factory):
+        before = spark_utc.read.parquet(streamed["tsdb_root"]).count()
         q = stream.start_ingest(
             spark_utc,
             world.landing_dir,
-            piperes["tsdb_root"],
-            os.path.join(os.path.dirname(piperes["tsdb_root"]), "ckpt_ingest"),
-            quarantine_dir=piperes["quarantine_dir"],
+            streamed["tsdb_root"],
+            os.path.join(os.path.dirname(streamed["tsdb_root"]), "ckpt_ingest"),
+            quarantine_dir=streamed["quarantine_dir"],
         )
         q.awaitTermination(300)
-        after = spark_utc.read.parquet(piperes["tsdb_root"]).count()
+        after = spark_utc.read.parquet(streamed["tsdb_root"]).count()
         assert after == before  # exactly-once within a checkpoint
 
 
 class TestDashboardReadPath:
-    def test_hourly_downsample_matches_batch_oracle(self, spark_utc, world, piperes):
+    def test_hourly_downsample_matches_batch_oracle(self, spark_utc, world, streamed):
         """The dashboard's hourly avg/count, downsampled at read time from
         the streamed TSDB, equal DuckDB's hourly aggregate of the batch
         points in every window, the last (still open) hour included."""
         keys = ["bucket", "metric", "sensor_id"]
-        pts = store.read(spark_utc, piperes["tsdb_root"])
+        pts = store.read(spark_utc, streamed["tsdb_root"])
         got = (
             query.downsample(pts, "1h-avg").withColumnRenamed("value", "avg")
             .join(query.downsample(pts, "1h-count").withColumnRenamed("value", "n"),

@@ -53,7 +53,7 @@ import pytest  # noqa: E402
 @pytest.fixture(scope="session")
 def spark():
     """One local-mode SparkSession for the whole test session:
-    ``runner.get_spark``'s, so tests, jobs and benchmarks share one
+    ``runner.get_spark``'s, so tests, jobs and ``perfbench/`` share one
     config. Master and driver memory come from ``PYSPARK_SUBMIT_ARGS``
     (set above, before the session launches the JVM)."""
     from repro.runner import get_spark

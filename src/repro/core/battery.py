@@ -26,6 +26,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession, Window
 from pyspark.sql import functions as F
 
+from repro.core.harmonize import bucketed
 from repro.iot import deployment, field
 
 #: Relative irradiance above which a panel can out-charge the node's
@@ -112,10 +113,10 @@ def hourly_delta_profile(deltas: DataFrame) -> DataFrame:
     )
 
 
-def battery_series(uplinks: DataFrame, *, period: str = "1 hour") -> DataFrame:
+def battery_series(uplinks: DataFrame) -> DataFrame:
     """Fig 4 (left) as numbers: hourly mean battery level per sensor."""
     return (
-        uplinks.withColumn("bucket", F.window("ts", period).getField("start"))
+        bucketed(uplinks)
         .groupBy("sensor_id", "city", "bucket")
         .agg(F.avg("battery").alias("battery"))
         .orderBy("sensor_id", "bucket")

@@ -22,43 +22,42 @@ from __future__ import annotations
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.harmonize import bucketed
+from repro.core.harmonize import bucketed, station_series
 
 #: Pollutants calibrated against the station.
 CAL_METRICS = ("co2", "no2", "pm10", "pm25")
 
 
+def _sensor_hourly(points: DataFrame) -> DataFrame:
+    """Hourly mean of every sensor's ``air.*`` points.
+
+    Returns city, sensor_id, field, bucket, raw.
+    """
+    return (
+        bucketed(points.filter(F.col("metric").startswith("air.")))
+        .withColumn("field", F.replace(F.col("metric"), F.lit("air."), F.lit("")))
+        .groupBy("city", "sensor_id", "field", "bucket")
+        .agg(F.avg("value").alias("raw"))
+    )
+
+
 def co_location_pairs(
-    points: DataFrame,
-    nilu_obs: DataFrame,
-    *,
-    co_located: dict[str, str],
-    period: str = "1 hour",
+    points: DataFrame, nilu_obs: DataFrame, *, co_located: dict[str, str]
 ) -> DataFrame:
     """Hourly (raw sensor, station reference) pairs per pollutant.
 
     ``co_located`` maps city → the sensor_id physically at the station.
-    Returns city, sensor_id, field, bucket, raw, ref.
+    Returns city, field, bucket, sensor_id, raw, ref.
     """
-    sens = bucketed(
-        points.filter(F.col("metric").startswith("air.")), period=period
-    ).withColumn("field", F.replace(F.col("metric"), F.lit("air."), F.lit("")))
     pairs_filter = F.lit(False)
     for city, sid in co_located.items():
         pairs_filter = pairs_filter | (
             (F.col("city") == city) & (F.col("sensor_id") == sid)
         )
-    sens = (
-        sens.filter(pairs_filter)
-        .groupBy("city", "sensor_id", "field", "bucket")
-        .agg(F.avg("value").alias("raw"))
+    ref = station_series(nilu_obs).withColumnRenamed("value", "ref")
+    return _sensor_hourly(points).filter(pairs_filter).join(
+        ref, ["city", "field", "bucket"], "inner"
     )
-    ref = (
-        bucketed(nilu_obs, period=period)
-        .groupBy("city", "field", "bucket")
-        .agg(F.avg("value").alias("ref"))
-    )
-    return sens.join(ref, ["city", "field", "bucket"], "inner")
 
 
 def fit_linear(
@@ -125,11 +124,7 @@ def accuracy(
 
 
 def network_pairs_against_truth(
-    points: DataFrame,
-    truth_fn,
-    sensors_pdf,
-    *,
-    period: str = "1 hour",
+    points: DataFrame, truth_fn, sensors_pdf
 ) -> DataFrame:
     """Hourly sensor means paired with the ground-truth field at each
     sensor's location — used to quantify the *lower certainty* of the
@@ -141,15 +136,7 @@ def network_pairs_against_truth(
     """
     import pandas as pd
 
-    hourly = (
-        bucketed(
-            points.filter(F.col("metric").startswith("air.")), period=period
-        )
-        .withColumn("field", F.replace(F.col("metric"), F.lit("air."), F.lit("")))
-        .groupBy("city", "sensor_id", "field", "bucket")
-        .agg(F.avg("value").alias("raw"))
-    )
-    hp = hourly.toPandas()
+    hp = _sensor_hourly(points).toPandas()
     reg = sensors_pdf.set_index("sensor_id")
     truths = []
     for (sid, fld), grp in hp.groupby(["sensor_id", "field"]):

@@ -21,7 +21,7 @@ from __future__ import annotations
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
-from repro.core.dashboard import AQI_BANDS, AQI_EDGES
+from repro.core.dashboard import band_col
 
 #: IDW radius (m) within which sensors inform a grid cell.
 IDW_RADIUS_M = 900.0
@@ -87,15 +87,7 @@ def cell_pollution(
         F.count(F.lit(1)).alias("n_sensors"),
         (F.sum(F.col("w") * F.col("value")) / F.sum("w")).alias("value"),
     )
-    band = _band_expr(field, F.col("value"))
-    return agg.withColumn("band", band)
-
-
-def _band_expr(field: str, value_col):
-    expr = F.lit(AQI_BANDS[-1])
-    for b, edge in zip(reversed(AQI_BANDS[:-1]), reversed(AQI_EDGES[field])):
-        expr = F.when(value_col < F.lit(edge), F.lit(b)).otherwise(expr)
-    return expr
+    return agg.withColumn("band", band_col(F.lit(field), F.col("value")))
 
 
 def inject_scenario(
@@ -122,7 +114,7 @@ def inject_scenario(
         F.when(in_region, F.col("value") * factor).otherwise(F.col("value")),
     )
     injected = injected.withColumn(
-        "band_injected", _band_expr(field, F.col("value_injected"))
+        "band_injected", band_col(F.lit(field), F.col("value_injected"))
     )
     return injected.withColumn(
         "changed", F.col("band_injected") != F.col("band")

@@ -35,7 +35,6 @@ def aligned_series(
     sensor_id: str,
     link_id: str,
     metric: str = "air.co2",
-    period: str = "1 hour",
 ) -> DataFrame:
     """Hourly (pollutant, jam_factor) pairs for one sensor × one link.
 
@@ -47,14 +46,13 @@ def aligned_series(
         bucketed(
             points.filter(
                 (F.col("sensor_id") == sensor_id) & (F.col("metric") == metric)
-            ),
-            period=period,
+            )
         )
         .groupBy("city", "bucket")
         .agg(F.avg("value").alias("value"))
     )
     tr = (
-        bucketed(feed.filter(F.col("link_id") == link_id), period=period)
+        bucketed(feed.filter(F.col("link_id") == link_id))
         .groupBy("city", "bucket")
         .agg(F.avg("jam_factor").alias("jam_factor"))
     )

@@ -48,7 +48,9 @@ def latest_per_sensor(points: DataFrame, *, as_of=None) -> DataFrame:
     )
 
 
-def _band_col(field_col, value_col):
+def band_col(field_col, value_col):
+    """AQI band of ``value_col`` for the pollutant in ``field_col`` (the
+    SQL form of :func:`band_for`; ``F.lit(field)`` bands one field)."""
     expr = F.lit(AQI_BANDS[-1])
     # Build the when-chain from the widest band downwards.
     for fld, edges in AQI_EDGES.items():
@@ -72,7 +74,7 @@ def air_quality_index(points: DataFrame, *, as_of=None) -> DataFrame:
         "field", F.replace(F.col("metric"), F.lit("air."), F.lit(""))
     )
     aq = latest.filter(F.col("field").isin(list(AQI_EDGES)))
-    banded = aq.withColumn("band", _band_col(F.col("field"), F.col("value")))
+    banded = aq.withColumn("band", band_col(F.col("field"), F.col("value")))
     rank_map = F.create_map(
         *[x for b, i in _BAND_RANK.items() for x in (F.lit(b), F.lit(i))]
     )

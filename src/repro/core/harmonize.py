@@ -20,19 +20,19 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 
-def bucketed(df: DataFrame, ts_col: str = "ts", period: str = "1 hour") -> DataFrame:
-    """Add a ``bucket`` column: the start of the containing time window."""
-    return df.withColumn("bucket", F.window(ts_col, period).getField("start"))
+def bucketed(df: DataFrame) -> DataFrame:
+    """Add a ``bucket`` column: the start of the hour containing ``ts``."""
+    return df.withColumn("bucket", F.window("ts", "1 hour").getField("start"))
 
 
-def sensor_city_series(points: DataFrame, *, period: str = "1 hour") -> DataFrame:
+def sensor_city_series(points: DataFrame) -> DataFrame:
     """TSDB points → per (city, metric, bucket) network mean.
 
     The network aggregate across sensor units is the paper's
     "aggregation of data from multiple sensor units" (§2.2).
     """
     return (
-        bucketed(points, period=period)
+        bucketed(points)
         .groupBy("city", "metric", "bucket")
         .agg(
             F.avg("value").alias("value"),
@@ -42,19 +42,19 @@ def sensor_city_series(points: DataFrame, *, period: str = "1 hour") -> DataFram
     )
 
 
-def station_series(nilu_obs: DataFrame, *, period: str = "1 hour") -> DataFrame:
+def station_series(nilu_obs: DataFrame) -> DataFrame:
     """NILU observations → per (city, field, bucket) value."""
     return (
-        bucketed(nilu_obs, period=period)
+        bucketed(nilu_obs)
         .groupBy("city", "field", "bucket")
         .agg(F.avg("value").alias("value"))
     )
 
 
-def traffic_series(feed: DataFrame, *, period: str = "1 hour") -> DataFrame:
+def traffic_series(feed: DataFrame) -> DataFrame:
     """here.com feed → per (city, bucket) mean jam factor."""
     return (
-        bucketed(feed, period=period)
+        bucketed(feed)
         .groupBy("city", "bucket")
         .agg(
             F.avg("jam_factor").alias("jam_factor"),
@@ -64,11 +64,7 @@ def traffic_series(feed: DataFrame, *, period: str = "1 hour") -> DataFrame:
 
 
 def integrated_city_frame(
-    points: DataFrame,
-    nilu_obs: DataFrame,
-    feed: DataFrame,
-    *,
-    period: str = "1 hour",
+    points: DataFrame, nilu_obs: DataFrame, feed: DataFrame
 ) -> DataFrame:
     """One wide row per (city, bucket): network pollutants + official
     reference + traffic — the joined frame the analyses consume.
@@ -79,7 +75,7 @@ def integrated_city_frame(
     "usual issues of missing data ... handled by standard methods").
     """
     sens = (
-        sensor_city_series(points, period=period)
+        sensor_city_series(points)
         .groupBy("city", "bucket")
         .pivot("metric")
         .agg(F.first("value"))
@@ -88,14 +84,14 @@ def integrated_city_frame(
         if "." in c:
             sens = sens.withColumnRenamed(c, c.replace(".", "_"))
     st = (
-        station_series(nilu_obs, period=period)
+        station_series(nilu_obs)
         .groupBy("city", "bucket")
         .pivot("field")
         .agg(F.first("value"))
     )
     for c in [c for c in st.columns if c not in ("city", "bucket")]:
         st = st.withColumnRenamed(c, f"nilu_{c}")
-    tr = traffic_series(feed, period=period).drop("n_links")
+    tr = traffic_series(feed).drop("n_links")
     return sens.join(st, ["city", "bucket"], "full").join(
         tr, ["city", "bucket"], "full"
     )

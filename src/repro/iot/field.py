@@ -117,13 +117,8 @@ def _boundary_layer_factor(ts: np.ndarray) -> np.ndarray:
     return 0.5 + 0.5 * np.cos(2 * np.pi * (h - 5.0) / 24.0)
 
 
-def weather_pdf(city: str, ts: np.ndarray, *, seed: int = 0) -> pd.DataFrame:
-    """Weather at the city scale: one row per timestamp.
-
-    Columns: ts, temperature (°C), pressure (hPa), humidity (%RH),
-    wind (m/s, ≥0.3), cloud (0..1 cover fraction).
-    """
-    ts = np.asarray(ts, dtype="datetime64[s]")
+def _weather(city: str, ts: np.ndarray, *, seed: int) -> dict[str, np.ndarray]:
+    """The weather columns of :func:`weather_pdf`, each shaped like ``ts``."""
     th = _hours(ts)
     s = seed + _CITY_SEED[city]
     doy = _day_of_year(ts)
@@ -142,16 +137,24 @@ def weather_pdf(city: str, ts: np.ndarray, *, seed: int = 0) -> pd.DataFrame:
     )
     wind = np.clip(3.5 + smooth_noise(th, s + 4, scale=2.0), 0.3, None)
     cloud = np.clip(0.55 + smooth_noise(th, s + 5, scale=0.35), 0.0, 1.0)
+    return {
+        "temperature": temperature,
+        "pressure": pressure,
+        "humidity": humidity,
+        "wind": wind,
+        "cloud": cloud,
+    }
+
+
+def weather_pdf(city: str, ts: np.ndarray, *, seed: int = 0) -> pd.DataFrame:
+    """Weather at the city scale: one row per timestamp.
+
+    Columns: ts, temperature (°C), pressure (hPa), humidity (%RH),
+    wind (m/s, ≥0.3), cloud (0..1 cover fraction).
+    """
+    ts = np.asarray(ts, dtype="datetime64[s]")
     return pd.DataFrame(
-        {
-            "ts": pd.DatetimeIndex(ts),
-            "city": city,
-            "temperature": temperature,
-            "pressure": pressure,
-            "humidity": humidity,
-            "wind": wind,
-            "cloud": cloud,
-        }
+        {"ts": pd.DatetimeIndex(ts), "city": city, **_weather(city, ts, seed=seed)}
     )
 
 
@@ -176,7 +179,7 @@ def solar_elevation(lat_deg: float, ts: np.ndarray) -> np.ndarray:
 def solar_irradiance(city: str, ts: np.ndarray, *, seed: int = 0) -> np.ndarray:
     """Relative solar irradiance in [0, 1]: elevation × cloud attenuation."""
     lat = deployment.CITY_CENTER[city][0]
-    cloud = weather_pdf(city, ts, seed=seed)["cloud"].to_numpy()
+    cloud = _weather(city, ts, seed=seed)["cloud"]
     return solar_elevation(lat, ts) * (1.0 - 0.75 * cloud)
 
 
@@ -209,23 +212,24 @@ def truth(
 ) -> np.ndarray:
     """Ground-truth value of ``metric`` at local position(s) and time(s).
 
-    ``x_m``/``y_m``/``ts`` broadcast against each other. Units: CO2 ppm,
-    NO2/PM µg/m³, temperature °C, pressure hPa, humidity %RH.
+    ``x_m``/``y_m``/``ts`` broadcast against each other. The time-only
+    terms are evaluated once per timestamp as passed and the spatial ones
+    once per position; the arithmetic below broadcasts them together.
+    Units: CO2 ppm, NO2/PM µg/m³, temperature °C, pressure hPa,
+    humidity %RH.
     """
     ts = np.asarray(ts, dtype="datetime64[s]")
     x_m = np.asarray(x_m, dtype="float64")
     y_m = np.asarray(y_m, dtype="float64")
-    x_m, y_m, ts = np.broadcast_arrays(x_m, y_m, ts)
+    shape = np.broadcast_shapes(x_m.shape, y_m.shape, ts.shape)
     th = _hours(ts)
     s = seed + _CITY_SEED[city]
-    wx = weather_pdf(city, ts.ravel(), seed=seed)
-    wind = wx["wind"].to_numpy().reshape(ts.shape)
-    humidity = wx["humidity"].to_numpy().reshape(ts.shape)
-    dilution = 1.0 / (1.0 + 0.25 * (wind - 3.5))  # windy → diluted
+    wx = _weather(city, ts, seed=seed)
+    dilution = 1.0 / (1.0 + 0.25 * (wx["wind"] - 3.5))  # windy → diluted
     tr = traffic_intensity(ts, seed=seed)
+    bl = _boundary_layer_factor(ts)
     prox = _road_proximity(x_m, y_m, city)
     core = _downtown(x_m, y_m)
-    bl = _boundary_layer_factor(ts)
 
     if metric == "co2":
         # Boundary-layer accumulation dominates; traffic coupling is weak
@@ -260,14 +264,12 @@ def truth(
             + 16.0 * tr * prox * dilution
             + 6.0 * core
             + 4.0 * bl
-            + 0.05 * humidity
+            + 0.05 * wx["humidity"]
             + smooth_noise(th, s + (13 if metric == "pm10" else 14), scale=2.5)
         )
         return np.clip(val, 0.5, None)
     if metric == "temperature":
-        return wx["temperature"].to_numpy().reshape(ts.shape) - 2.0 * (1.0 - core) * 0.3
-    if metric == "pressure":
-        return wx["pressure"].to_numpy().reshape(ts.shape)
-    if metric == "humidity":
-        return humidity
+        return wx["temperature"] - 2.0 * (1.0 - core) * 0.3
+    if metric in ("pressure", "humidity"):
+        return np.broadcast_to(wx[metric], shape).copy()
     raise ValueError(f"unknown metric {metric!r}; expected one of {ALL_METRICS}")

@@ -1,10 +1,10 @@
-"""Shared plumbing for jobs, tests and benchmarks.
+"""Shared plumbing for jobs, tests and the perfbench benchmark.
 
 ``build_world`` materialises the full §2.1 data flow at a scale factor:
 simulate the deployment, transport packets over the LoRaWAN model, land
 TTN/MQTT messages, run the Structured Streaming ingestion into the
 TSDB, and return handles to every stage. Jobs (spark-submit
-entrypoints), test fixtures and benchmarks share this code so the
+entrypoints), test fixtures and ``perfbench/`` share this code so the
 numbers in EXPERIMENTS.md come from exactly the pipeline the tests
 verify.
 """
@@ -22,7 +22,7 @@ from repro.lorawan import mqtt, network
 
 
 def get_spark(app: str) -> SparkSession:
-    """The one SparkSession config, for jobs, tests and benchmarks.
+    """The one SparkSession config, for jobs, tests and ``perfbench/``.
 
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` or
     spark-submit. Automatic broadcast joins are disabled so joins take

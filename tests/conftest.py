@@ -3,7 +3,7 @@
 The simulation (sensor readings → radio receptions → TTN dedup → MQTT
 landing → parsed uplinks/points) is deterministic and moderately
 expensive, so it is built once at session scope and shared, by the same
-``runner.build_world`` the jobs and benchmarks use. SF=0.008 gives a
+``runner.build_world`` the jobs and ``perfbench/`` use. SF=0.008 gives a
 3-day window — long enough for the standard fault scenario (last event
 at hour 56) and the daily-pattern analyses, small enough for fast tests.
 """

@@ -75,7 +75,7 @@ class TestDeltas:
 class TestHourlyProfile:
     def test_profile_shape(self, deltas):
         prof = battery.hourly_delta_profile(deltas).toPandas()
-        assert prof["hour"].between(0, 23).all()
+        assert set(prof["hour"]) == set(range(24))
         night = prof[(prof["hour"] <= 4) & (~prof["charged"])]
         noon = prof[(prof["hour"].between(10, 13)) & (prof["charged"])]
         assert (night["delta_avg"] < 0).all()
@@ -112,6 +112,7 @@ class TestSeriesAndDepletion:
         # (63.4°N) nodes net-discharge. days_to_empty must be defined
         # exactly for the dischargers.
         d = battery.depletion_estimate(clean_world.uplinks).toPandas()
+        assert len(d) == 14  # one row per node
         discharging = d["slope_pct_per_day"] < -1e-6
         assert (d["days_to_empty"].notna() == discharging).all()
 

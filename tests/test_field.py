@@ -172,3 +172,20 @@ class TestTruth:
         xs = np.array([0.0, 1000.0, -1000.0])
         v = field.truth("no2", "trondheim", xs, xs, TS_DAY[0])
         assert v.shape == (3,)
+
+    @pytest.mark.parametrize("metric", field.ALL_METRICS)
+    def test_broadcast_contract(self, metric):
+        # (k, 1) positions × (T,) times is a (k, T) writable array whose
+        # row j is node j's own series; scalar × vector and vector ×
+        # scalar calls keep the broadcast shape too.
+        xy = np.array([[0.0, 0.0], [1000.0, -500.0], [-2000.0, 1500.0]])
+        grid = TS_DAY[:48]
+        kt = field.truth(metric, "trondheim", xy[:, :1], xy[:, 1:], grid)
+        per_time = field.truth(metric, "trondheim", xy[:, 0], xy[:, 1], grid[0])
+        for v, shape in ((kt, (3, 48)), (per_time, (3,))):
+            assert v.shape == shape and v.flags.writeable
+        for j, (x, y) in enumerate(xy):
+            series = field.truth(metric, "trondheim", x, y, grid)
+            assert series.shape == (48,) and series.flags.writeable
+            np.testing.assert_array_equal(kt[j], series)
+            assert per_time[j] == series[0]

@@ -51,10 +51,15 @@ class TestIntegratedFrame:
         assert dupes.count() == 0
 
     def test_full_join_keeps_all_buckets(self, wide, nilu_df, traffic_df, world):
-        n_buckets = (
-            harmonize.traffic_series(traffic_df).select("city", "bucket").distinct().count()
+        # The full outer join has one row per (city, hour) any source covers.
+        buckets = (
+            world.points.select("city", "ts")
+            .unionByName(nilu_df.select("city", "ts"))
+            .unionByName(traffic_df.select("city", "ts"))
+            .select("city", F.date_trunc("hour", "ts"))
+            .distinct()
         )
-        assert wide.count() >= n_buckets
+        assert wide.count() == buckets.count()
 
     def test_values_physically_plausible(self, wide):
         row = wide.filter("air_co2 IS NOT NULL").first()
@@ -73,6 +78,10 @@ class TestSourceProfile:
             world.points.filter("metric = 'air.co2' AND sensor_id = 'T-00'"),
         )
         assert prof["cadence_min"] == 5.0
+
+    def test_sensor_units(self, world):
+        prof = harmonize.source_profile(world.points, unit_cols=("sensor_id",))
+        assert prof["units"] == 14
 
     def test_nilu_cadence(self, nilu_df):
         prof = harmonize.source_profile(

@@ -19,6 +19,7 @@ from pyspark.sql import DataFrame, SparkSession
 from repro.ingest import etl, stream
 from repro.iot import deployment, faults, sensor
 from repro.lorawan import mqtt, network
+from repro.tsdb import store
 
 
 def get_spark(app: str) -> SparkSession:
@@ -33,6 +34,16 @@ def get_spark(app: str) -> SparkSession:
     UTC pins window/bucket semantics to DuckDB's naive timestamps in
     oracle checks; the console progress bar is off so stderr carries
     warnings, not ``[Stage n:>`` bars.
+
+    Files are listed on the driver: above
+    ``parallelPartitionDiscovery.threshold`` paths (32 by default) Spark
+    lists them in a job with one task per path. Every streaming
+    micro-batch indexes each landed file it reads (96 at SF 0.01, one
+    per hour), and at SF 0.1 each TSDB metric directory holds 36 date
+    directories, so the default launched a listing job per batch and per
+    metric read. These are local files, where a driver-side ``stat`` is
+    cheap; the threshold sits above any path count the pipeline makes
+    (SF 1.0 lands 8,760 hourly files).
     """
     s = (
         SparkSession.builder.appName(app)
@@ -42,6 +53,7 @@ def get_spark(app: str) -> SparkSession:
         .config("spark.sql.optimizer.canChangeCachedPlanOutputPartitioning", "true")
         .config("spark.sql.session.timeZone", "UTC")
         .config("spark.ui.showConsoleProgress", "false")
+        .config("spark.sql.sources.parallelPartitionDiscovery.threshold", 100_000)
         .getOrCreate()
     )
     s.sparkContext.setLogLevel("ERROR")
@@ -71,7 +83,8 @@ def build_world(
 
     Returns a :class:`World` with: readings_pdf, receptions_pdf,
     fault/outage lists, landing_dir, n_landed, uplinks (DataFrame),
-    points (DataFrame, TSDB shape) and quarantined (DataFrame). With
+    points (DataFrame, :data:`repro.tsdb.store.POINT_COLUMNS` in either
+    mode) and quarantined (DataFrame). With
     ``run_streaming``, points and quarantined read what the Structured
     Streaming pipeline wrote to tsdb_root and quarantine_dir (also
     returned); without it, both come from the batch parse of the
@@ -103,7 +116,7 @@ def build_world(
     w["uplinks"] = etl.uplinks_batch(spark, landing)
     if run_streaming:
         w.update(stream.run_pipeline(spark, landing, os.path.join(work_dir, "stream")))
-        w["points"] = spark.read.parquet(w.tsdb_root)
+        w["points"] = store.read(spark, w.tsdb_root)
         w["quarantined"] = spark.read.parquet(w.quarantine_dir)
     else:
         validated = etl.validate(etl.parse_messages(etl.read_landing_batch(spark, landing)))

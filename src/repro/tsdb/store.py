@@ -26,14 +26,25 @@ def write(points: DataFrame, root: str, *, mode: str = "append") -> None:
 
     ``points`` must carry exactly :data:`POINT_COLUMNS` (extra columns
     are dropped; missing ones raise).
+
+    The shuffle before the write hashes each ``(metric, date)`` key to
+    exactly one partition, so every date directory holds one file on any
+    core count. Its partition count is explicit, one per core: AQE
+    coalesces a by-column repartition by size, and at SF 0.01 (~127 k
+    points) it merged all shuffle partitions into one, so a single task
+    wrote every file in turn. A numbered repartition is not coalesced.
+    One per core rather than ``spark.sql.shuffle.partitions`` (64): every
+    task pays a task-commit cost, and 64 mostly empty writer tasks were
+    slower than the one.
     """
     missing = [c for c in POINT_COLUMNS if c not in points.columns]
     if missing:
         raise ValueError(f"points missing columns {missing}")
+    n_writers = points.sparkSession.sparkContext.defaultParallelism
     (
         points.select(*POINT_COLUMNS)
         .withColumn("date", F.to_date("ts"))
-        .repartition("metric", "date")
+        .repartition(n_writers, "metric", "date")
         .write.mode(mode)
         .partitionBy("metric", "date")
         .parquet(root)

@@ -9,13 +9,26 @@ at hour 56) and the daily-pattern analyses, small enough for fast tests.
 """
 from __future__ import annotations
 
+import glob
+import os
+
 import pytest
 
 from repro import runner
 from repro.ingest import stream
+from repro.tsdb import store
 
 TEST_SF = 0.008
 SEED = 0
+
+
+def parquet_files_per_partition(root: str) -> dict[str, int]:
+    """Parquet file count of every ``metric=*/date=*`` directory under a
+    TSDB ``root``."""
+    return {
+        d: len(glob.glob(os.path.join(d, "*.parquet")))
+        for d in glob.glob(os.path.join(root, "metric=*", "date=*"))
+    }
 
 
 def _cached_world(spark, tmp_path_factory, *, with_faults: bool) -> runner.World:
@@ -51,7 +64,7 @@ def streamed(spark_utc, world, tmp_path_factory) -> dict:
     res = stream.run_pipeline(
         spark_utc, world.landing_dir, str(tmp_path_factory.mktemp("stream_work"))
     )
-    res["points"] = spark_utc.read.parquet(res["tsdb_root"]).cache()
+    res["points"] = store.read(spark_utc, res["tsdb_root"]).cache()
     return res
 
 

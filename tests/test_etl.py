@@ -6,6 +6,7 @@ from pyspark.sql import functions as F
 from repro.ingest import etl
 from repro.lorawan.network import PAYLOAD_COLS
 from repro.oracle import assert_equivalent
+from tests.conftest import parquet_files_per_partition
 
 
 @pytest.fixture(scope="module")
@@ -134,3 +135,5 @@ class TestIngestBatch:
         assert counts["accepted"] > 0
         stored = spark_utc.read.parquet(root)
         assert stored.count() == counts["accepted"]
+        files = parquet_files_per_partition(root)
+        assert files and set(files.values()) == {1}  # one file per (metric, date)

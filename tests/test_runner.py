@@ -1,9 +1,12 @@
-"""runner.World: attribute access over the dict build_world returns."""
+"""runner.World: attribute access over the dict build_world returns, and
+the one shape of build_world's points."""
 import copy
 
 import pytest
 
-from repro.runner import World
+from repro.runner import World, build_world
+from repro.tsdb import store
+from tests.conftest import SEED, TEST_SF
 
 
 class TestWorld:
@@ -22,3 +25,13 @@ class TestWorld:
         c = copy.deepcopy(w)
         assert isinstance(c, World) and c == w
         assert c.faults is not w.faults
+
+
+class TestBuildWorld:
+    def test_streamed_points_have_the_batch_shape_and_rows(self, spark_utc, world, tmp_path):
+        """With or without the streaming ingest, points are
+        :data:`store.POINT_COLUMNS` and hold the same rows."""
+        w = build_world(spark_utc, sf=TEST_SF, seed=SEED, work_dir=str(tmp_path))
+        assert w.points.columns == store.POINT_COLUMNS == world.points.columns
+        assert w.points.count() == world.points.count()
+        assert w.points.exceptAll(world.points).count() == 0

@@ -11,6 +11,7 @@ from pyspark.sql import functions as F
 from repro.ingest import etl, stream
 from repro.lorawan.network import PAYLOAD_COLS
 from repro.tsdb import query, store
+from tests.conftest import parquet_files_per_partition
 
 
 class TestStreamingIngest:
@@ -31,11 +32,32 @@ class TestStreamingIngest:
         assert abs(s_sum - b_sum) < 0.05
 
     def test_partitioned_by_metric_and_date(self, streamed):
-        entries = os.listdir(streamed["tsdb_root"])
-        assert any(e.startswith("metric=") for e in entries)
-        m0 = [e for e in entries if e.startswith("metric=")][0]
-        sub = os.listdir(os.path.join(streamed["tsdb_root"], m0))
-        assert any(e.startswith("date=") for e in sub)
+        files = parquet_files_per_partition(streamed["tsdb_root"])
+        assert files and set(files.values()) == {1}  # one file per (metric, date)
+
+    def test_no_per_file_listing_and_a_parallel_write(self, spark_utc, world, tmp_path):
+        """Landed files are listed on the driver, not by a Spark job with
+        one task per file, and the TSDB is written by one task per core,
+        not by one task in all."""
+        q = stream.start_ingest(
+            spark_utc, world.landing_dir, str(tmp_path / "tsdb"), str(tmp_path / "ckpt"),
+            quarantine_dir=str(tmp_path / "quarantine"),
+        )
+        assert q.awaitTermination(300)
+        sc = spark_utc.sparkContext
+        st = sc.statusTracker()
+        jobs = [st.getJobInfo(j) for j in sorted(st.getJobIdsForGroup(str(q.runId)))]
+        stages = [[st.getStageInfo(s) for s in sorted(j.stageIds)] for j in jobs]
+        n_files = len(os.listdir(world.landing_dir))
+        # A scan of small files runs about one task per core, so one task
+        # per file marks the listing job only where cores are fewer.
+        if sc.defaultParallelism < n_files:
+            assert all(s.numTasks != n_files for ss in stages for s in ss)
+        # The write's repartition is the batch's one shuffle: its job holds
+        # the map stage and, last, the write stage.
+        shuffled = [ss for ss in stages if len(ss) > 1]
+        assert len(shuffled) == 1
+        assert shuffled[0][-1].numTasks == sc.defaultParallelism
 
     def test_quarantine_written(self, spark_utc, streamed, world):
         q = spark_utc.read.parquet(streamed["quarantine_dir"])

@@ -70,8 +70,9 @@ def battery_deltas(uplinks: DataFrame, irradiance: DataFrame) -> DataFrame:
         .withColumn("delta_battery", F.col("battery") - F.lag("battery").over(w))
         .filter(F.col("prev_ts").isNotNull())
     )
-    # Explode the (bounded) list of 5-min ticks in (prev_ts, ts] and
-    # equi-join the irradiance table — no range join needed.
+    # Explode the (bounded) list of 5-min ticks in (prev_ts, ts],
+    # equi-join the irradiance table — no range join needed — and fold
+    # the ticks back into their packet in one aggregate.
     ticks = base.withColumn(
         "tick",
         F.explode(
@@ -82,14 +83,10 @@ def battery_deltas(uplinks: DataFrame, irradiance: DataFrame) -> DataFrame:
             )
         ),
     )
-    sun = (
-        ticks.join(irradiance, ["city", "tick"], "left")
-        .groupBy("sensor_id", "ts")
-        .agg(F.max(F.coalesce("irradiance", F.lit(0.0))).alias("sun_max"))
-    )
     return (
-        base.join(sun, ["sensor_id", "ts"], "left")
-        .withColumn("sun_max", F.coalesce("sun_max", F.lit(0.0)))
+        ticks.join(irradiance, ["city", "tick"], "left")
+        .groupBy(*base.columns)
+        .agg(F.max(F.coalesce("irradiance", F.lit(0.0))).alias("sun_max"))
         .withColumn("charged", F.col("sun_max") > SUN_THRESHOLD)
         .withColumn("hour", F.hour("ts"))
     )

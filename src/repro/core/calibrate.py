@@ -60,19 +60,15 @@ def co_location_pairs(
     )
 
 
-def fit_linear(
-    pairs: DataFrame,
-    *,
-    x: str = "raw",
-    y: str = "ref",
-    by: tuple[str, ...] = ("city", "field"),
-) -> DataFrame:
-    """Per-group closed-form OLS of ``y`` on ``x``.
+def fit_linear(pairs: DataFrame) -> DataFrame:
+    """Per (city, field) closed-form OLS of the station ``ref`` on the
+    sensor ``raw``.
 
-    slope = cov(x,y)/var(x); intercept = ȳ − slope·x̄. Returns the
-    grouping columns + slope, intercept, r2, n.
+    slope = cov(x,y)/var(x); intercept = ȳ − slope·x̄. Returns city,
+    field, slope, intercept, r2, n.
     """
-    return pairs.groupBy(*by).agg(
+    x, y = "raw", "ref"
+    return pairs.groupBy("city", "field").agg(
         (F.covar_pop(x, y) / F.var_pop(x)).alias("slope"),
         (F.avg(y) - (F.covar_pop(x, y) / F.var_pop(x)) * F.avg(x)).alias(
             "intercept"

@@ -23,6 +23,8 @@ from pyspark.sql import functions as F
 
 from repro.core.dashboard import band_col
 
+#: The pollutant whose AQI bands colour the city model (E9 maps NO2).
+FIELD = "no2"
 #: IDW radius (m) within which sensors inform a grid cell.
 IDW_RADIUS_M = 900.0
 #: Max sensor→building attachment distance (m).
@@ -61,8 +63,6 @@ def cell_pollution(
     sensor_values: DataFrame,
     sensors: DataFrame,
     grid: DataFrame,
-    *,
-    field: str = "no2",
 ) -> DataFrame:
     """Per-grid-cell pollution via inverse-distance weighting.
 
@@ -87,13 +87,12 @@ def cell_pollution(
         F.count(F.lit(1)).alias("n_sensors"),
         (F.sum(F.col("w") * F.col("value")) / F.sum("w")).alias("value"),
     )
-    return agg.withColumn("band", band_col(F.lit(field), F.col("value")))
+    return agg.withColumn("band", band_col(F.lit(FIELD), F.col("value")))
 
 
 def inject_scenario(
     cells: DataFrame,
     *,
-    field: str = "no2",
     factor: float = 2.0,
     x_c: float = 0.0,
     y_c: float = 0.0,
@@ -114,7 +113,7 @@ def inject_scenario(
         F.when(in_region, F.col("value") * factor).otherwise(F.col("value")),
     )
     injected = injected.withColumn(
-        "band_injected", band_col(F.lit(field), F.col("value_injected"))
+        "band_injected", band_col(F.lit(FIELD), F.col("value_injected"))
     )
     return injected.withColumn(
         "changed", F.col("band_injected") != F.col("band")

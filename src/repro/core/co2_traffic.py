@@ -22,7 +22,7 @@ correlation when one exists.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
 from repro.core.harmonize import bucketed
@@ -101,29 +101,18 @@ def diurnal_profiles(aligned: DataFrame) -> DataFrame:
             F.avg("jam_factor").alias("jam_avg"),
         )
     )
-    stats = prof.agg(
-        F.min("value_avg").alias("v_min"),
-        F.max("value_avg").alias("v_max"),
-        F.min("jam_avg").alias("j_min"),
-        F.max("jam_avg").alias("j_max"),
+    # min/max over the whole 24-row profile, as a window.
+    whole = Window.partitionBy()
+    norm = lambda c: (F.col(c) - F.min(c).over(whole)) / (
+        F.max(c).over(whole) - F.min(c).over(whole) + 1e-12
     )
-    return (
-        prof.crossJoin(stats)
-        .select(
-            "hour",
-            "value_avg",
-            "jam_avg",
-            (
-                (F.col("value_avg") - F.col("v_min"))
-                / (F.col("v_max") - F.col("v_min") + 1e-12)
-            ).alias("value_norm"),
-            (
-                (F.col("jam_avg") - F.col("j_min"))
-                / (F.col("j_max") - F.col("j_min") + 1e-12)
-            ).alias("jam_norm"),
-        )
-        .orderBy("hour")
-    )
+    return prof.select(
+        "hour",
+        "value_avg",
+        "jam_avg",
+        norm("value_avg").alias("value_norm"),
+        norm("jam_avg").alias("jam_norm"),
+    ).orderBy("hour")
 
 
 def peak_hours(profiles: DataFrame) -> dict:

@@ -8,7 +8,7 @@ the *numbers* each dashboard tile renders:
 * :func:`air_quality_index` — CAQI-style banding per sensor (the air
   quality indicator);
 * :func:`hourly_series` — the 24 h sparkline per sensor/metric;
-* :func:`traffic_tiles` — live + daily jam factor per road link;
+* :func:`traffic_tiles` — live and mean jam factor per road link;
 * :func:`wall_summary` — the Fig 8 wall display: network totals, data
   rates, per-city health.
 """
@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
+
+from repro.tsdb import query
 
 #: CAQI-style band edges per pollutant field (µg/m³): the value is in
 #: band i when edges[i-1] <= v < edges[i].
@@ -25,6 +27,8 @@ AQI_EDGES = {
     "pm10": [20.0, 40.0, 50.0, 100.0],
     "pm25": [10.0, 20.0, 25.0, 50.0],
 }
+#: Trailing window of the sparkline, hours.
+SPARKLINE_HOURS = 24
 #: Band rank (for the "overall = worst constituent" rule).
 _BAND_RANK = {b: i for i, b in enumerate(AQI_BANDS)}
 
@@ -66,56 +70,55 @@ def band_col(field_col, value_col):
 def air_quality_index(points: DataFrame, *, as_of=None) -> DataFrame:
     """Per-sensor AQI: band per pollutant + overall worst band.
 
-    Returns sensor_id, city, overall_band, plus one row per pollutant
-    in ``detail`` (field, value, band) — flattened as columns
-    no2/pm10/pm25 band and value for easy assertion.
+    Returns sensor_id, city, overall_band, overall_rank and one band
+    column per pollutant (no2, pm10, pm25), null when the sensor has no
+    value for it: one aggregate over the latest value per (sensor,
+    pollutant).
     """
     latest = latest_per_sensor(points, as_of=as_of).withColumn(
         "field", F.replace(F.col("metric"), F.lit("air."), F.lit(""))
     )
-    aq = latest.filter(F.col("field").isin(list(AQI_EDGES)))
-    banded = aq.withColumn("band", band_col(F.col("field"), F.col("value")))
     rank_map = F.create_map(
         *[x for b, i in _BAND_RANK.items() for x in (F.lit(b), F.lit(i))]
     )
-    ranked = banded.withColumn("band_rank", rank_map[F.col("band")])
-    overall = ranked.groupBy("sensor_id", "city").agg(
-        F.max_by("band", "band_rank").alias("overall_band"),
-        F.max("band_rank").alias("overall_rank"),
+    return (
+        latest.filter(F.col("field").isin(list(AQI_EDGES)))
+        .withColumn("band", band_col(F.col("field"), F.col("value")))
+        .withColumn("band_rank", rank_map[F.col("band")])
+        .groupBy("sensor_id", "city")
+        .agg(
+            F.max_by("band", "band_rank").alias("overall_band"),
+            F.max("band_rank").alias("overall_rank"),
+            *[
+                F.max(F.when(F.col("field") == f, F.col("band"))).alias(f)
+                for f in AQI_EDGES
+            ],
+        )
     )
-    wide = (
-        banded.groupBy("sensor_id", "city")
-        .pivot("field", list(AQI_EDGES))
-        .agg(F.first("band"))
-    )
-    return overall.join(wide, ["sensor_id", "city"])
 
 
-def hourly_series(points: DataFrame, *, last_hours: int = 24, as_of=None) -> DataFrame:
-    """The dashboard sparkline: hourly means for the trailing window."""
+def hourly_series(points: DataFrame, *, as_of=None) -> DataFrame:
+    """The dashboard sparkline: the TSDB's ``1h-avg`` downsample, over
+    the trailing :data:`SPARKLINE_HOURS` up to ``as_of`` when given."""
     pts = points
     if as_of is not None:
-        pts = pts.filter(
-            (F.col("ts") <= F.lit(as_of))
-            & (F.col("ts") > F.lit(as_of) - F.expr(f"INTERVAL {last_hours} HOURS"))
-        )
-    return (
-        pts.withColumn("bucket", F.window("ts", "1 hour").getField("start"))
-        .groupBy("sensor_id", "city", "metric", "bucket")
-        .agg(F.avg("value").alias("value"))
-        .orderBy("sensor_id", "metric", "bucket")
+        since = F.lit(as_of) - F.expr(f"INTERVAL {SPARKLINE_HOURS} HOURS")
+        pts = pts.filter((F.col("ts") <= F.lit(as_of)) & (F.col("ts") > since))
+    return query.series(pts, "1h-avg", by=("sensor_id", "city", "metric")).select(
+        "sensor_id", "city", "metric", "bucket", "value"
     )
 
 
 def traffic_tiles(feed: DataFrame, *, as_of=None) -> DataFrame:
-    """Per-link traffic tile: live jam factor + trailing-24h mean."""
+    """Per-link traffic tile: the live jam factor (``jam_now``, at the
+    latest ``ts``) and ``jam_24h_avg``, the mean over the whole feed up
+    to ``as_of``."""
     f = feed if as_of is None else feed.filter(F.col("ts") <= F.lit(as_of))
-    live = f.groupBy("link_id", "city").agg(
+    return f.groupBy("link_id", "city").agg(
         F.max("ts").alias("ts"),
         F.max_by("jam_factor", "ts").alias("jam_now"),
+        F.avg("jam_factor").alias("jam_24h_avg"),
     )
-    day = f.groupBy("link_id", "city").agg(F.avg("jam_factor").alias("jam_24h_avg"))
-    return live.join(day.drop("city"), "link_id")
 
 
 def wall_summary(uplinks: DataFrame, points: DataFrame) -> DataFrame:

@@ -36,6 +36,7 @@ SENSOR_COST_USD = 2_000
 #: Fleet sizes swept (250 = the paper's equal-budget fleet).
 FLEET_SIZES = (1, 5, 12, 25, 50, 100, 250)
 #: IDW exponent and minimum distance (m).
+IDW_POWER = 2.0
 IDW_EPS_M = 50.0
 
 
@@ -142,8 +143,6 @@ def idw_reconstruction(
     spark: SparkSession,
     observations: pd.DataFrame,
     truth_grid: pd.DataFrame,
-    *,
-    power: float = 2.0,
 ) -> DataFrame:
     """IDW-reconstruct the field on the grid and score against truth.
 
@@ -163,7 +162,7 @@ def idw_reconstruction(
             (F.col("x_c") - F.col("x_m")) ** 2 + (F.col("y_c") - F.col("y_m")) ** 2
         ),
     )
-    j = j.withColumn("w", 1.0 / F.pow(F.col("d") + IDW_EPS_M, power))
+    j = j.withColumn("w", 1.0 / F.pow(F.col("d") + IDW_EPS_M, IDW_POWER))
     est = j.groupBy("scenario", "cell_id", "ts", "truth").agg(
         (F.sum(F.col("w") * F.col("obs")) / F.sum("w")).alias("estimate")
     )

@@ -19,6 +19,9 @@ from __future__ import annotations
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from repro.external import nilu
+from repro.ingest import etl
+
 
 def bucketed(df: DataFrame) -> DataFrame:
     """Add a ``bucket`` column: the start of the hour containing ``ts``."""
@@ -70,36 +73,42 @@ def integrated_city_frame(
     reference + traffic — the joined frame the analyses consume.
 
     Sensor metrics appear as ``air_co2`` etc. (network mean), station
-    fields as ``nilu_no2`` etc., traffic as ``jam_factor``. Buckets
-    missing from a source stay null — gaps are data, not errors (§2.2
-    "usual issues of missing data ... handled by standard methods").
+    fields as ``nilu_no2`` etc., traffic as ``jam_factor``: one
+    conditional mean per column of the known metric and station-field
+    lists, in one aggregate over the union of the three sources, so
+    every (city, hour) any source covers has a row. Buckets missing
+    from a source stay null — gaps are data, not errors (§2.2 "usual
+    issues of missing data ... handled by standard methods").
     """
-    sens = (
-        sensor_city_series(points)
-        .groupBy("city", "bucket")
-        .pivot("metric")
-        .agg(F.first("value"))
+    series = (
+        points.select(
+            "city", "ts", F.replace("metric", F.lit("."), F.lit("_")).alias("col"), "value"
+        )
+        .unionByName(
+            nilu_obs.select(
+                "city", "ts", F.concat(F.lit("nilu_"), "field").alias("col"), "value"
+            )
+        )
+        .unionByName(
+            feed.select(
+                "city", "ts", F.lit("jam_factor").alias("col"),
+                F.col("jam_factor").alias("value"),
+            )
+        )
     )
-    for c in list(sens.columns):
-        if "." in c:
-            sens = sens.withColumnRenamed(c, c.replace(".", "_"))
-    st = (
-        station_series(nilu_obs)
+    cols = [
+        *(m.replace(".", "_") for m in sorted(etl.METRIC_NAME.values())),
+        *(f"nilu_{f}" for f in sorted(nilu.STATION_METRICS)),
+        "jam_factor",
+    ]
+    return (
+        bucketed(series)
         .groupBy("city", "bucket")
-        .pivot("field")
-        .agg(F.first("value"))
-    )
-    for c in [c for c in st.columns if c not in ("city", "bucket")]:
-        st = st.withColumnRenamed(c, f"nilu_{c}")
-    tr = traffic_series(feed).drop("n_links")
-    return sens.join(st, ["city", "bucket"], "full").join(
-        tr, ["city", "bucket"], "full"
+        .agg(*[F.avg(F.when(F.col("col") == c, F.col("value"))).alias(c) for c in cols])
     )
 
 
-def source_profile(
-    df: DataFrame, *, ts_col: str = "ts", unit_cols: tuple[str, ...] = ()
-) -> dict:
+def source_profile(df: DataFrame, *, unit_cols: tuple[str, ...] = ()) -> dict:
     """Quantify a source's heterogeneity: rows, spatial units, median
     cadence (minutes), and time span (days). Collected to the driver —
     profiles are scalar summaries.
@@ -108,17 +117,15 @@ def source_profile(
     units = (
         df.select(*unit_cols).distinct().count() if unit_cols else 1
     )
-    span = df.agg(
-        F.min(ts_col).alias("t0"), F.max(ts_col).alias("t1")
-    ).collect()[0]
+    span = df.agg(F.min("ts").alias("t0"), F.max("ts").alias("t1")).collect()[0]
     if n <= 1 or span["t0"] is None:
         return {"rows": n, "units": units, "cadence_min": None, "span_days": 0.0}
-    distinct_ts = df.select(ts_col).distinct()
+    distinct_ts = df.select("ts").distinct()
     from pyspark.sql import Window
 
-    w = Window.orderBy(ts_col)
+    w = Window.orderBy("ts")
     gaps = distinct_ts.withColumn(
-        "gap", F.unix_timestamp(ts_col) - F.unix_timestamp(F.lag(ts_col).over(w))
+        "gap", F.unix_timestamp("ts") - F.unix_timestamp(F.lag("ts").over(w))
     ).filter(F.col("gap").isNotNull())
     med = gaps.agg(F.median("gap").alias("m")).collect()[0]["m"]
     span_days = (span["t1"] - span["t0"]).total_seconds() / 86400.0
@@ -130,13 +137,12 @@ def source_profile(
     }
 
 
-def join_coverage(
-    base_buckets: DataFrame, other: DataFrame, on: tuple[str, ...] = ("city", "bucket")
-) -> float:
+def join_coverage(base_buckets: DataFrame, other: DataFrame) -> float:
     """Fraction of base (city, bucket) rows that the other source covers."""
+    on = ["city", "bucket"]
     total = base_buckets.select(*on).distinct()
     n_total = total.count()
     if n_total == 0:
         return 0.0
-    n_hit = total.join(other.select(*on).distinct(), list(on), "left_semi").count()
+    n_hit = total.join(other.select(*on).distinct(), on, "left_semi").count()
     return round(n_hit / n_total, 4)

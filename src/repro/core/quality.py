@@ -92,13 +92,11 @@ def divergence_from_network(points: DataFrame) -> DataFrame:
     city_day = sensor_day.groupBy("city", "metric", "date").agg(
         F.median("v_sensor").alias("v_network")
     )
-    joined = sensor_day.join(city_day, ["city", "metric", "date"])
-    first_day = joined.groupBy("city", "metric").agg(F.min("date").alias("d0"))
+    d0 = F.min("date").over(Window.partitionBy("city", "metric"))
     return (
-        joined.join(first_day, ["city", "metric"])
-        .withColumn("day_index", F.datediff("date", "d0").cast("double"))
+        sensor_day.join(city_day, ["city", "metric", "date"])
+        .withColumn("day_index", F.datediff("date", d0).cast("double"))
         .withColumn("divergence", F.col("v_sensor") - F.col("v_network"))
-        .drop("d0")
     )
 
 

@@ -2,12 +2,12 @@
 instants.
 
 The actor-based dataport re-evaluates each twin whenever time advances;
-we reproduce that as a deterministic sweep — every ``eval_every_min``
-minutes each sensor twin's status is recomputed from its packet history
-and *transitions* become alarm events. One Spark plan: the evaluation
-grid is unioned with the packets and a per-sensor window carries the
-last packet forward to each instant, exactly the state a digital-twin
-actor would hold.
+we reproduce that as a deterministic sweep — every
+:data:`EVAL_EVERY_MIN` minutes each sensor twin's status is recomputed
+from its packet history and *transitions* become alarm events. One
+Spark plan: the evaluation grid is unioned with the packets and a
+per-sensor window carries the last packet forward to each instant,
+exactly the state a digital-twin actor would hold.
 """
 from __future__ import annotations
 
@@ -15,7 +15,11 @@ import pandas as pd
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
-from repro.dataport.twins import STATUS_OK, status_for
+from repro.dataport.twins import STATUS_FAILED, STATUS_OK, status_for
+
+#: Minutes between evaluation instants of the sweep: the base
+#: measurement interval.
+EVAL_EVERY_MIN = 5
 
 
 def alarm_events(
@@ -23,7 +27,6 @@ def alarm_events(
     *,
     start,
     end,
-    eval_every_min: int = 5,
 ) -> DataFrame:
     """All twin status transitions in [start, end].
 
@@ -31,7 +34,7 @@ def alarm_events(
     prev_status, missed_cycles. A transition into WARN/FAILED is an
     alarm being raised; back to OK is the alarm clearing.
 
-    At each instant of the grid ``start, start + eval_every_min, … ≤
+    At each instant of the grid ``start, start + EVAL_EVERY_MIN, … ≤
     end`` the twin knows the last packet at or before it (packets sort
     before grid rows at equal times) and that packet's declared
     interval; before a sensor's first packet its twin does not exist
@@ -50,7 +53,7 @@ def alarm_events(
                 F.sequence(
                     F.lit(start).cast("timestamp"),
                     F.lit(end).cast("timestamp"),
-                    F.make_dt_interval(mins=F.lit(eval_every_min)),
+                    F.make_dt_interval(mins=F.lit(EVAL_EVERY_MIN)),
                 )
             ).alias("ts"),
             F.lit(None).alias("interval_min"),
@@ -90,10 +93,10 @@ def alarm_events(
     )
 
 
-def raised(events: DataFrame, *, level: str = "FAILED") -> DataFrame:
-    """Alarm raise events at the given level."""
+def raised(events: DataFrame) -> DataFrame:
+    """Alarm raise events: transitions into FAILED."""
     return events.filter(
-        (F.col("status") == level) & (F.col("prev_status") != level)
+        (F.col("status") == STATUS_FAILED) & (F.col("prev_status") != STATUS_FAILED)
     )
 
 

@@ -20,7 +20,7 @@ resolves.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
 from repro.dataport import twins
@@ -38,21 +38,24 @@ def classify(uplinks: DataFrame, at) -> DataFrame:
     Returns sensor_id, city, primary_gateway, missed_cycles,
     gateway_status, dependents, dependents_failed, failure_kind.
     """
-    st = twins.sensor_twins(uplinks, at)
     gt = twins.gateway_twins(uplinks, at).select(
         F.col("gateway_id").alias("primary_gateway"),
         F.col("status").alias("gateway_status"),
     )
-    dep = st.groupBy("primary_gateway").agg(
-        F.count(F.lit(1)).alias("dependents"),
-        F.sum(
-            (F.col("status") == twins.STATUS_FAILED).cast("long")
-        ).alias("dependents_failed"),
+    # Dependents are counted over every twin of the same primary
+    # gateway; a sensor no gateway heard has none.
+    per_gw = lambda c: F.when(
+        F.col("primary_gateway").isNotNull(),
+        c.over(Window.partitionBy("primary_gateway")),
     )
-    failed = st.filter(F.col("status") == twins.STATUS_FAILED)
-    joined = failed.join(gt, "primary_gateway", "left").join(
-        dep, "primary_gateway", "left"
+    is_failed = F.col("status") == twins.STATUS_FAILED
+    failed = (
+        twins.sensor_twins(uplinks, at)
+        .withColumn("dependents", per_gw(F.count(F.lit(1))))
+        .withColumn("dependents_failed", per_gw(F.sum(is_failed.cast("long"))))
+        .filter(is_failed)
     )
+    joined = failed.join(gt, "primary_gateway", "left")
     is_outage = (
         (F.col("gateway_status") == twins.STATUS_FAILED)
         & (

@@ -31,6 +31,9 @@ from repro.ingest import etl
 from repro.lorawan.mqtt import MESSAGE_SCHEMA
 from repro.tsdb import store
 
+#: Seconds :func:`run_pipeline` waits for the query to finish.
+TIMEOUT_S = 600
+
 
 def start_ingest(
     spark: SparkSession,
@@ -68,8 +71,6 @@ def run_pipeline(
     spark: SparkSession,
     landing_dir: str,
     work_dir: str,
-    *,
-    timeout_s: int = 600,
 ) -> dict:
     """Run the ingest query to completion (availableNow).
 
@@ -81,7 +82,7 @@ def run_pipeline(
         spark, landing_dir, tsdb_root,
         os.path.join(work_dir, "ckpt_ingest"), quarantine_dir=quarantine,
     )
-    if not q.awaitTermination(timeout_s):
+    if not q.awaitTermination(TIMEOUT_S):
         q.stop()
         raise TimeoutError("streaming query did not finish in time")
     return {"tsdb_root": tsdb_root, "quarantine_dir": quarantine}

@@ -217,7 +217,6 @@ def sim_days(sf: float) -> int:
 SIM_START = pd.Timestamp("2017-01-01 00:00:00")
 
 
-def time_grid(sf: float, *, interval_min: int = 5) -> pd.DatetimeIndex:
+def time_grid(sf: float) -> pd.DatetimeIndex:
     """The base 5-minute measurement grid (§3) for ``sim_days(sf)`` days."""
-    n = sim_days(sf) * 24 * (60 // interval_min)
-    return pd.date_range(SIM_START, periods=n, freq=f"{interval_min}min")
+    return pd.date_range(SIM_START, periods=sim_days(sf) * 24 * 12, freq="5min")

@@ -21,7 +21,7 @@ from pyspark.sql import functions as F
 POINT_COLUMNS = ["metric", "ts", "value", "sensor_id", "city"]
 
 
-def write(points: DataFrame, root: str, *, mode: str = "append") -> None:
+def write(points: DataFrame, root: str) -> None:
     """Append data points to the store at ``root``.
 
     ``points`` must carry exactly :data:`POINT_COLUMNS` (extra columns
@@ -45,7 +45,7 @@ def write(points: DataFrame, root: str, *, mode: str = "append") -> None:
         points.select(*POINT_COLUMNS)
         .withColumn("date", F.to_date("ts"))
         .repartition(n_writers, "metric", "date")
-        .write.mode(mode)
+        .write.mode("append")
         .partitionBy("metric", "date")
         .parquet(root)
     )

@@ -55,6 +55,31 @@ class TestDeltas:
             up=up,
         )
 
+    def test_sun_max_matches_range_join_oracle(self, clean_world, irr, deltas):
+        # sun_max is the brightest irradiance tick in (prev_ts, ts]; the
+        # oracle finds those ticks with a range join, not an explosion.
+        got = deltas.select(
+            "sensor_id", "ts", F.round("sun_max", 6).alias("sun_max"), "charged"
+        )
+        assert_equivalent(
+            got,
+            f"""
+            WITH b AS (
+              SELECT sensor_id, city, ts,
+                     lag(ts) OVER (PARTITION BY sensor_id ORDER BY ts) AS prev_ts
+              FROM up QUALIFY prev_ts IS NOT NULL
+            )
+            SELECT b.sensor_id, b.ts,
+                   round(coalesce(max(i.irradiance), 0), 6) AS sun_max,
+                   coalesce(max(i.irradiance), 0) > {battery.SUN_THRESHOLD} AS charged
+            FROM b LEFT JOIN irr i
+              ON i.city = b.city AND i.tick > b.prev_ts AND i.tick <= b.ts
+            GROUP BY b.sensor_id, b.ts
+            """,
+            up=clean_world.uplinks.select("sensor_id", "city", "ts").toPandas(),
+            irr=irr.toPandas(),
+        )
+
     def test_charged_only_during_daylight(self, deltas):
         charged = deltas.filter("charged")
         hours = charged.select(F.hour("ts").alias("h")).distinct().toPandas()["h"]

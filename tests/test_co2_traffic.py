@@ -119,6 +119,30 @@ class TestCrossCorrelation:
             al=al_co2,
         )
 
+    @pytest.mark.parametrize("series", ["al_co2", "al_no2"])
+    def test_profiles_oracle(self, request, series):
+        al = request.getfixturevalue(series)
+        got = co2_traffic.diurnal_profiles(al).select(
+            "hour",
+            F.round("value_norm", 4).alias("value_norm"),
+            F.round("jam_norm", 4).alias("jam_norm"),
+        )
+        norm = lambda c: (
+            f"round(({c} - min({c}) OVER ()) "
+            f"/ (max({c}) OVER () - min({c}) OVER () + 1e-12), 4)"
+        )
+        assert_equivalent(
+            got,
+            f"""
+            WITH p AS (
+              SELECT hour(bucket) AS hour, avg(value) AS v, avg(jam_factor) AS j
+              FROM al GROUP BY 1
+            )
+            SELECT hour, {norm("v")} AS value_norm, {norm("j")} AS jam_norm FROM p
+            """,
+            al=al.select("bucket", "value", "jam_factor").toPandas(),
+        )
+
     def test_profiles_normalized(self, al_co2):
         prof = co2_traffic.diurnal_profiles(al_co2).toPandas()
         for c in ("value_norm", "jam_norm"):

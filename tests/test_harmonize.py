@@ -46,6 +46,60 @@ class TestIntegratedFrame:
         assert {"city", "bucket", "air_co2", "air_no2", "nilu_no2",
                 "jam_factor", "weather_temperature"} <= cols
 
+    def test_column_order(self, wide):
+        assert wide.columns == [
+            "city", "bucket",
+            "air_co2", "air_no2", "air_pm10", "air_pm25",
+            "node_battery", "node_interval_min",
+            "weather_humidity", "weather_pressure", "weather_temperature",
+            "nilu_co2", "nilu_no2", "nilu_pm10", "nilu_pm25",
+            "jam_factor",
+        ]
+
+    def test_every_column_oracle(self, wide, world, nilu_df, traffic_df):
+        # Each source is pivoted on its own and full-joined on (city,
+        # hour), so the oracle does not share the frame's single
+        # aggregate over the sources' union.
+        values = [c for c in wide.columns if c not in ("city", "bucket")]
+        sensor = [c for c in values if not c.startswith("nilu_") and c != "jam_factor"]
+        station = [c for c in values if c.startswith("nilu_")]
+        sens_cols = ", ".join(
+            f"avg(value) FILTER (WHERE metric = '{c.replace('_', '.', 1)}') AS {c}"
+            for c in sensor
+        )
+        st_cols = ", ".join(
+            f"avg(value) FILTER (WHERE field = '{c[5:]}') AS {c}" for c in station
+        )
+        got = wide.select(
+            "city", "bucket", *[F.round(c, 4).alias(c) for c in values]
+        )
+        assert_equivalent(
+            got,
+            f"""
+            WITH s AS (
+              SELECT city, date_trunc('hour', ts) AS bucket, {sens_cols}
+              FROM pts GROUP BY ALL
+            ), n AS (
+              SELECT city, date_trunc('hour', ts) AS bucket, {st_cols}
+              FROM nilu GROUP BY ALL
+            ), t AS (
+              SELECT city, date_trunc('hour', ts) AS bucket,
+                     avg(jam_factor) AS jam_factor
+              FROM feed GROUP BY ALL
+            )
+            SELECT coalesce(s.city, n.city, t.city) AS city,
+                   coalesce(s.bucket, n.bucket, t.bucket) AS bucket,
+                   {", ".join(f"round({c}, 4) AS {c}" for c in values)}
+            FROM s
+            FULL JOIN n ON s.city = n.city AND s.bucket = n.bucket
+            FULL JOIN t ON coalesce(s.city, n.city) = t.city
+                       AND coalesce(s.bucket, n.bucket) = t.bucket
+            """,
+            pts=world.points.select("city", "ts", "metric", "value").toPandas(),
+            nilu=nilu_df.select("city", "ts", "field", "value").toPandas(),
+            feed=traffic_df.select("city", "ts", "jam_factor").toPandas(),
+        )
+
     def test_one_row_per_city_bucket(self, wide):
         dupes = wide.groupBy("city", "bucket").count().filter("count > 1")
         assert dupes.count() == 0

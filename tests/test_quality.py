@@ -80,6 +80,35 @@ class TestDrift:
         dr = quality.drift_scores(clean_world.points.filter("metric = 'air.co2'"))
         assert dr.filter("drifting").count() == 0
 
+    def test_divergence_oracle(self, world):
+        # day_index counts days from the first day of the sensor's (city,
+        # metric); divergence is the sensor's daily mean minus the median
+        # of its city's daily sensor means.
+        pts = world.points.filter(F.col("metric").isin("air.co2", "air.pm10"))
+        got = quality.divergence_from_network(pts).select(
+            "sensor_id", "metric", "day_index",
+            F.round("divergence", 4).alias("divergence"),
+        )
+        assert_equivalent(
+            got,
+            """
+            WITH sd AS (
+              SELECT sensor_id, city, metric, CAST(ts AS DATE) AS d,
+                     avg(value) AS v_sensor
+              FROM pts GROUP BY ALL
+            ), cd AS (
+              SELECT city, metric, d, median(v_sensor) AS v_network
+              FROM sd GROUP BY ALL
+            )
+            SELECT sensor_id, metric,
+                   CAST(date_diff('day', min(d) OVER (PARTITION BY city, metric), d)
+                        AS DOUBLE) AS day_index,
+                   round(v_sensor - v_network, 4) AS divergence
+            FROM sd JOIN cd USING (city, metric, d)
+            """,
+            pts=pts.select("sensor_id", "city", "metric", "ts", "value").toPandas(),
+        )
+
     def test_divergence_centered_for_healthy(self, clean_world):
         div = quality.divergence_from_network(
             clean_world.points.filter("metric = 'air.pm10'")

@@ -111,13 +111,13 @@ def hourly_series(points: DataFrame, *, as_of=None) -> DataFrame:
 
 def traffic_tiles(feed: DataFrame, *, as_of=None) -> DataFrame:
     """Per-link traffic tile: the live jam factor (``jam_now``, at the
-    latest ``ts``) and ``jam_24h_avg``, the mean over the whole feed up
+    latest ``ts``) and ``jam_avg``, the mean over the whole feed up
     to ``as_of``."""
     f = feed if as_of is None else feed.filter(F.col("ts") <= F.lit(as_of))
     return f.groupBy("link_id", "city").agg(
         F.max("ts").alias("ts"),
         F.max_by("jam_factor", "ts").alias("jam_now"),
-        F.avg("jam_factor").alias("jam_24h_avg"),
+        F.avg("jam_factor").alias("jam_avg"),
     )
 
 

@@ -46,14 +46,16 @@ def start_ingest(
     """Start the ingest query; caller awaits termination.
 
     Each micro-batch is parsed, validated, and split: accepted points
-    append to the TSDB, invalid points to ``quarantine_dir``.
+    append to the TSDB, invalid points to ``quarantine_dir`` as one
+    Parquet file per batch.
     """
 
     def _sink(batch: DataFrame, batch_id: int) -> None:
         validated = etl.validate(etl.parse_messages(batch)).cache()
         try:
             store.write(etl.accepted_points(validated), tsdb_root)
-            bad = etl.quarantined_points(validated)
+            # About 1 % of a batch's rows: one file, not one per input partition.
+            bad = etl.quarantined_points(validated).coalesce(1)
             bad.write.mode("append").parquet(quarantine_dir)
         finally:
             validated.unpersist()

@@ -22,18 +22,36 @@ from repro.lorawan import mqtt, network
 from repro.tsdb import store
 
 
+def driver_memory() -> str:
+    """``SPARK_DRIVER_MEM`` if set, else half of MemTotal clamped to 2–8 g."""
+    if m := os.environ.get("SPARK_DRIVER_MEM"):
+        return m
+    try:
+        with open("/proc/meminfo") as f:
+            kib = next(int(line.split()[1]) for line in f if line.startswith("MemTotal:"))
+    except OSError:  # no /proc, as on macOS
+        return "2g"
+    return f"{min(8, max(2, kib // 2097152))}g"
+
+
 def get_spark(app: str) -> SparkSession:
     """The one SparkSession config, for jobs, tests and ``perfbench/``.
 
-    Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` or
-    spark-submit. Automatic broadcast joins are disabled so joins take
-    the shuffle path they take at scale (the one explicit hint is the
-    bounded E7 fleet side, :func:`repro.core.density.idw_reconstruction`);
-    AQE may coalesce the shuffle partitions of a cached plan, so stages
-    over a small cached frame do not run one task per shuffle partition;
-    UTC pins window/bucket semantics to DuckDB's naive timestamps in
-    oracle checks; the console progress bar is off so stderr carries
-    warnings, not ``[Stage n:>`` bars.
+    PySpark hands the builder's configs to the JVM it launches, so a job
+    run with plain ``python`` gets :func:`driver_memory` as its heap. A
+    ``--driver-memory`` submit argument wins over it, and under
+    spark-submit the JVM already exists, so pass ``--driver-memory``
+    there. The master is PySpark's default, ``local[*]``; the driver
+    binds to loopback and runs no web UI.
+
+    Automatic broadcast joins are disabled so joins take the shuffle path
+    they take at scale (the one explicit hint is the bounded E7 fleet
+    side, :func:`repro.core.density.idw_reconstruction`); AQE may
+    coalesce the shuffle partitions of a cached plan, so stages over a
+    small cached frame do not run one task per shuffle partition; UTC
+    pins window/bucket semantics to DuckDB's naive timestamps in oracle
+    checks; the console progress bar is off so stderr carries warnings,
+    not ``[Stage n:>`` bars.
 
     Files are listed on the driver: above
     ``parallelPartitionDiscovery.threshold`` paths (32 by default) Spark
@@ -47,6 +65,9 @@ def get_spark(app: str) -> SparkSession:
     """
     s = (
         SparkSession.builder.appName(app)
+        .config("spark.driver.memory", driver_memory())
+        .config("spark.driver.host", "127.0.0.1")
+        .config("spark.ui.enabled", "false")
         .config("spark.sql.shuffle.partitions", 64)
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
@@ -90,7 +111,6 @@ def build_world(
     returned); without it, both come from the batch parse of the
     landing zone.
     """
-    spark.conf.set("spark.sql.session.timeZone", "UTC")
     work_dir = work_dir or tempfile.mkdtemp(prefix=f"ctt_sf{sf}_")
     if with_faults:
         flist, outages = faults.standard_scenario(deployment.SIM_START)

@@ -100,20 +100,20 @@ class TestSeriesAndTiles:
         tiles = dashboard.traffic_tiles(traffic_df).toPandas()
         assert len(tiles) == 7
         assert tiles["jam_now"].between(0, 10).all()
-        assert tiles["jam_24h_avg"].between(0, 10).all()
+        assert tiles["jam_avg"].between(0, 10).all()
 
     def test_traffic_tiles_oracle(self, traffic_df):
         got = dashboard.traffic_tiles(traffic_df).select(
             "link_id", "city", "ts",
             F.round("jam_now", 4).alias("jam_now"),
-            F.round("jam_24h_avg", 4).alias("jam_24h_avg"),
+            F.round("jam_avg", 4).alias("jam_avg"),
         )
         assert_equivalent(
             got,
             """
             SELECT link_id, city, max(ts) AS ts,
                    round(arg_max(jam_factor, ts), 4) AS jam_now,
-                   round(avg(jam_factor), 4) AS jam_24h_avg
+                   round(avg(jam_factor), 4) AS jam_avg
             FROM feed GROUP BY link_id, city
             """,
             feed=traffic_df.select("link_id", "city", "ts", "jam_factor").toPandas(),

@@ -1,10 +1,11 @@
-"""runner.World: attribute access over the dict build_world returns, and
-the one shape of build_world's points."""
+"""runner.World: attribute access over the dict build_world returns,
+the one shape of build_world's points, and the driver-memory rule
+``get_spark`` launches the JVM with."""
 import copy
 
 import pytest
 
-from repro.runner import World, build_world
+from repro.runner import World, build_world, driver_memory
 from repro.tsdb import store
 from tests.conftest import SEED, TEST_SF
 
@@ -35,3 +36,26 @@ class TestBuildWorld:
         assert w.points.columns == store.POINT_COLUMNS == world.points.columns
         assert w.points.count() == world.points.count()
         assert w.points.exceptAll(world.points).count() == 0
+
+
+def _gib(mem: str) -> float:
+    """A JVM memory string (``7g``, ``512m``) in GiB."""
+    return float(mem[:-1]) * {"m": 1 / 1024, "g": 1, "t": 1024}[mem[-1].lower()]
+
+
+class TestDriverMemory:
+    def test_env_overrides_the_rule(self, monkeypatch):
+        monkeypatch.setenv("SPARK_DRIVER_MEM", "3g")
+        assert driver_memory() == "3g"
+
+    def test_half_of_memtotal_clamped(self, monkeypatch):
+        monkeypatch.delenv("SPARK_DRIVER_MEM", raising=False)
+        with open("/proc/meminfo") as f:
+            kib = int(next(line for line in f if line.startswith("MemTotal:")).split()[1])
+        assert driver_memory() == f"{min(8, max(2, int(kib / 2**21)))}g"
+
+    def test_session_heap_is_the_rule(self, spark):
+        """The test session's JVM was launched with :func:`driver_memory`
+        as its maximum heap."""
+        runtime = spark.sparkContext._jvm.java.lang.Runtime.getRuntime()
+        assert runtime.maxMemory() / 2**30 == pytest.approx(_gib(driver_memory()), rel=0.02)

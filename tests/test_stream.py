@@ -1,5 +1,6 @@
 """Structured Streaming ingestion: streaming == batch, the dashboard's
 read path over the streamed TSDB, and bad input."""
+import glob
 import json
 import os
 
@@ -62,6 +63,15 @@ class TestStreamingIngest:
     def test_quarantine_written(self, spark_utc, streamed, world):
         q = spark_utc.read.parquet(streamed["quarantine_dir"])
         assert q.count() == world.quarantined.count()
+
+    def test_one_quarantine_file_per_batch(self, streamed):
+        """Each micro-batch writes its invalid points as one Parquet file,
+        not one per input partition (``test_quarantine_written`` checks
+        that the rows are all there)."""
+        commits = os.path.join(os.path.dirname(streamed["tsdb_root"]), "ckpt_ingest", "commits")
+        n_batches = sum(name.isdigit() for name in os.listdir(commits))
+        files = glob.glob(os.path.join(streamed["quarantine_dir"], "*.parquet"))
+        assert n_batches >= 1 and len(files) == n_batches
 
     def test_checkpoint_makes_rerun_a_noop(self, spark_utc, world, streamed, tmp_path_factory):
         before = spark_utc.read.parquet(streamed["tsdb_root"]).count()

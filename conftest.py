@@ -23,11 +23,3 @@ def spark():
     )
     yield s
     s.stop()
-
-
-@pytest.fixture(scope="session")
-def spark_utc(spark):
-    """The session SparkSession, which ``get_spark`` pins to UTC so
-    window/bucket semantics match DuckDB's naive timestamps in oracle
-    checks."""
-    return spark

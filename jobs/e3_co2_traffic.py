@@ -17,7 +17,7 @@ SENSOR, LINK = "T-01", "T-elgeseter"
 
 
 def run(spark, *, sf: float = 0.05, seed: int = 0) -> pd.DataFrame:
-    w = build_world(spark, sf=sf, seed=seed, with_faults=False, run_streaming=False)
+    w = build_world(spark, sf=sf, seed=seed, with_faults=False)
     feed = herecom.feed(spark, sf=sf, seed=seed)
     rows = []
     for metric in ("air.co2", "air.no2"):

@@ -20,7 +20,7 @@ CO_LOCATED = {"trondheim": "T-00", "vejle": "V-00"}
 
 
 def run(spark, *, sf: float = 0.05, seed: int = 0) -> dict:
-    w = build_world(spark, sf=sf, seed=seed, with_faults=False, run_streaming=False)
+    w = build_world(spark, sf=sf, seed=seed, with_faults=False)
     ni = nilu.observations(spark, sf=sf, seed=seed)
     pairs = calibrate.co_location_pairs(w.points, ni, co_located=CO_LOCATED).cache()
     coefs = calibrate.fit_linear(pairs).cache()

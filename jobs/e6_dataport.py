@@ -17,7 +17,7 @@ from repro.runner import build_world, get_spark, print_table
 
 
 def run(spark, *, sf: float = 0.05, seed: int = 0) -> dict:
-    w = build_world(spark, sf=sf, seed=seed, with_faults=True, run_streaming=False)
+    w = build_world(spark, sf=sf, seed=seed, with_faults=True)
     end = w.readings_pdf["ts"].max()
     events = alarms.alarm_events(
         w.uplinks, start=deployment.SIM_START, end=end

@@ -13,7 +13,7 @@ from repro.runner import build_world, get_spark, print_table
 
 
 def run(spark, *, sf: float = 0.05, seed: int = 0) -> dict:
-    w = build_world(spark, sf=sf, seed=seed, with_faults=False, run_streaming=True)
+    w = build_world(spark, sf=sf, seed=seed, with_faults=False)
     feed = herecom.feed(spark, sf=sf, seed=seed)
     aqi = dashboard.air_quality_index(w.points).orderBy("sensor_id").toPandas()
     tiles = dashboard.traffic_tiles(feed).orderBy("link_id").toPandas().round(2)

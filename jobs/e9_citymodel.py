@@ -16,7 +16,7 @@ from repro.runner import build_world, get_spark, print_table
 
 
 def run(spark, *, sf: float = 0.05, seed: int = 0) -> dict:
-    w = build_world(spark, sf=sf, seed=seed, with_faults=False, run_streaming=False)
+    w = build_world(spark, sf=sf, seed=seed, with_faults=False)
     sensors = deployment.sensors(spark)
     bld = citygml.buildings(spark, seed=seed)
     grid = citygml.grid(spark)

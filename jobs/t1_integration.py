@@ -17,7 +17,7 @@ from repro.runner import build_world, get_spark, print_table
 
 
 def run(spark, *, sf: float = 0.05, seed: int = 0) -> pd.DataFrame:
-    w = build_world(spark, sf=sf, seed=seed, with_faults=False, run_streaming=False)
+    w = build_world(spark, sf=sf, seed=seed, with_faults=False)
     base = harmonize.sensor_city_series(w.points).select("city", "bucket").distinct().cache()
 
     ni = nilu.observations(spark, sf=sf, seed=seed)

@@ -14,7 +14,7 @@ import os
 import tempfile
 
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import SparkSession
 
 from repro.ingest import etl, stream
 from repro.iot import deployment, faults, sensor
@@ -103,13 +103,12 @@ def build_world(
     """Simulate + transport + land + ingest one deployment at ``sf``.
 
     Returns a :class:`World` with: readings_pdf, receptions_pdf,
-    fault/outage lists, landing_dir, n_landed, uplinks (DataFrame),
-    points (DataFrame, :data:`repro.tsdb.store.POINT_COLUMNS` in either
-    mode) and quarantined (DataFrame). With
-    ``run_streaming``, points and quarantined read what the Structured
-    Streaming pipeline wrote to tsdb_root and quarantine_dir (also
-    returned); without it, both come from the batch parse of the
-    landing zone.
+    fault/outage lists, landing_dir, n_landed and uplinks (DataFrame).
+    ``run_streaming`` runs the Structured Streaming ingest into
+    tsdb_root and quarantine_dir (also returned), and adds points
+    (DataFrame, :data:`repro.tsdb.store.POINT_COLUMNS`) and quarantined
+    (DataFrame), read from what it wrote. Without it the world stops at
+    the landing zone and has neither.
     """
     work_dir = work_dir or tempfile.mkdtemp(prefix=f"ctt_sf{sf}_")
     if with_faults:
@@ -138,10 +137,6 @@ def build_world(
         w.update(stream.run_pipeline(spark, landing, os.path.join(work_dir, "stream")))
         w["points"] = store.read(spark, w.tsdb_root)
         w["quarantined"] = spark.read.parquet(w.quarantine_dir)
-    else:
-        validated = etl.validate(etl.parse_messages(etl.read_landing_batch(spark, landing)))
-        w["points"] = etl.accepted_points(validated)
-        w["quarantined"] = etl.quarantined_points(validated)
     return w
 
 

@@ -133,9 +133,9 @@ class TestSweepOracle:
     ]
 
     @pytest.fixture(scope="class")
-    def hand(self, spark_utc):
+    def hand(self, spark):
         day = pd.Timestamp("2017-01-01")
-        up = spark_utc.createDataFrame(
+        up = spark.createDataFrame(
             pd.DataFrame(
                 [(sid, "x", day + pd.Timedelta(t), iv) for sid, t, iv in self.PACKETS],
                 columns=["sensor_id", "city", "ts", "interval_min"],

@@ -7,8 +7,8 @@ from repro.oracle import assert_equivalent
 
 
 @pytest.fixture(scope="module")
-def irr(spark_utc, clean_world):
-    return battery.irradiance_table(spark_utc, sf=clean_world.sf, seed=0).cache()
+def irr(spark, clean_world):
+    return battery.irradiance_table(spark, sf=clean_world.sf, seed=0).cache()
 
 
 @pytest.fixture(scope="module")

@@ -8,18 +8,18 @@ from repro.iot import deployment as dep
 
 
 @pytest.fixture(scope="module")
-def sensors_df(spark_utc):
-    return dep.sensors(spark_utc).cache()
+def sensors_df(spark):
+    return dep.sensors(spark).cache()
 
 
 @pytest.fixture(scope="module")
-def buildings_df(spark_utc):
-    return citygml.buildings(spark_utc).cache()
+def buildings_df(spark):
+    return citygml.buildings(spark).cache()
 
 
 @pytest.fixture(scope="module")
-def grid_df(spark_utc):
-    return citygml.grid(spark_utc).cache()
+def grid_df(spark):
+    return citygml.grid(spark).cache()
 
 
 @pytest.fixture(scope="module")
@@ -92,22 +92,22 @@ class TestInjection:
 
 
 class TestSiting:
-    def test_top_n_per_city(self, spark_utc, grid_df, cells, buildings_df):
+    def test_top_n_per_city(self, spark, grid_df, cells, buildings_df):
         sit = citymodel.siting_candidates(
-            grid_df, cells, buildings_df, dep.road_links(spark_utc), top_n=5
+            grid_df, cells, buildings_df, dep.road_links(spark), top_n=5
         ).toPandas()
         assert (sit.groupby("city").size() == 5).all()
 
-    def test_candidates_are_uncovered(self, spark_utc, grid_df, cells, buildings_df):
+    def test_candidates_are_uncovered(self, spark, grid_df, cells, buildings_df):
         sit = citymodel.siting_candidates(
-            grid_df, cells, buildings_df, dep.road_links(spark_utc), top_n=10
+            grid_df, cells, buildings_df, dep.road_links(spark), top_n=10
         )
         overlap = sit.join(cells.select("cell_id"), "cell_id", "inner")
         assert overlap.count() == 0
 
-    def test_scores_ranked(self, spark_utc, grid_df, cells, buildings_df):
+    def test_scores_ranked(self, spark, grid_df, cells, buildings_df):
         sit = citymodel.siting_candidates(
-            grid_df, cells, buildings_df, dep.road_links(spark_utc), top_n=10
+            grid_df, cells, buildings_df, dep.road_links(spark), top_n=10
         ).toPandas()
         for _, grp in sit.groupby("city"):
             assert grp.sort_values("rk")["score"].is_monotonic_decreasing

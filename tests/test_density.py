@@ -11,10 +11,10 @@ from repro.oracle import assert_equivalent
 
 
 @pytest.fixture(scope="module")
-def table(spark_utc):
+def table(spark):
     # Small sweep for tests; the full FLEET_SIZES sweep runs in the bench.
     return density.sweep(
-        spark_utc, fleet_sizes=(1, 25, 250), day=1, seed=0
+        spark, fleet_sizes=(1, 25, 250), day=1, seed=0
     )
 
 
@@ -95,7 +95,7 @@ class TestVectorisedGenerators:
 
 
 class TestReconstruction:
-    def test_idw_interpolates_exactly_at_unit(self, spark_utc):
+    def test_idw_interpolates_exactly_at_unit(self, spark):
         # One noiseless unit: every cell gets its value; the cell at the
         # unit's location has ~zero error at that instant only if truth
         # is flat — so instead check the estimate equals the obs.
@@ -104,15 +104,15 @@ class TestReconstruction:
         obs = density.fleet_observations_pdf(
             "vejle", 1, times, reference_grade=True
         )
-        rec = density.idw_reconstruction(spark_utc, obs, tg).toPandas()
+        rec = density.idw_reconstruction(spark, obs, tg).toPandas()
         merged = rec.merge(obs, on="ts")
         np.testing.assert_allclose(merged["estimate"], merged["obs"], rtol=1e-9)
 
-    def test_score_fields(self, spark_utc):
+    def test_score_fields(self, spark):
         times = density.eval_times(hours=3)
         tg = density.truth_grid_pdf("trondheim", times)
         obs = density.fleet_observations_pdf("trondheim", 10, times)
-        s = density.score(density.idw_reconstruction(spark_utc, obs, tg))["lowcost_10"]
+        s = density.score(density.idw_reconstruction(spark, obs, tg))["lowcost_10"]
         assert set(s) == {"rmse", "bias", "spatial_rmse"}
         assert s["rmse"] > 0
 
@@ -135,7 +135,7 @@ class TestScoringOracle:
     and 5) against DuckDB, every scenario in one plan."""
 
     @pytest.fixture(scope="class")
-    def small(self, spark_utc):
+    def small(self, spark):
         times = density.eval_times(hours=2)
         tg = density.truth_grid_pdf("trondheim", times)
         obs = pd.concat(
@@ -146,7 +146,7 @@ class TestScoringOracle:
             ],
             ignore_index=True,
         )
-        return obs, tg, density.idw_reconstruction(spark_utc, obs, tg).cache()
+        return obs, tg, density.idw_reconstruction(spark, obs, tg).cache()
 
     def test_four_scenarios(self, small):
         obs, _, _ = small
@@ -161,9 +161,9 @@ class TestScoringOracle:
             IDW_SQL, obs=obs, tg=tg,
         )
 
-    def test_score_oracle(self, spark_utc, small):
+    def test_score_oracle(self, spark, small):
         obs, tg, rec = small
-        got = spark_utc.createDataFrame(
+        got = spark.createDataFrame(
             pd.DataFrame([{"scenario": k, **v} for k, v in density.score(rec).items()])
         )
         assert_equivalent(

@@ -10,8 +10,8 @@ from tests.conftest import parquet_files_per_partition
 
 
 @pytest.fixture(scope="module")
-def raw(spark_utc, world):
-    return etl.read_landing_batch(spark_utc, world.landing_dir).cache()
+def raw(spark, world):
+    return etl.read_landing_batch(spark, world.landing_dir).cache()
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +86,7 @@ class TestValidate:
         pts = etl.accepted_points(validated)
         assert pts.columns == ["metric", "ts", "value", "sensor_id", "city"]
 
-    def test_out_of_range_value_quarantined(self, spark_utc):
+    def test_out_of_range_value_quarantined(self, spark):
         import json
 
         msg = {
@@ -104,7 +104,7 @@ class TestValidate:
                 "humidity": None,  # null
             },
         }
-        df = spark_utc.createDataFrame(
+        df = spark.createDataFrame(
             [json.dumps(msg)], "string"
         ).select(F.from_json("value", etl.MESSAGE_SCHEMA).alias("m")).select("m.*")
         v = etl.validate(etl.parse_messages(df))
@@ -118,8 +118,8 @@ class TestValidate:
 
 
 class TestUplinksBatch:
-    def test_one_row_per_message(self, spark_utc, world, raw):
-        up = etl.uplinks_batch(spark_utc, world.landing_dir)
+    def test_one_row_per_message(self, spark, world, raw):
+        up = etl.uplinks_batch(spark, world.landing_dir)
         assert up.count() == raw.count()
 
     def test_battery_and_interval_extracted(self, world):
@@ -129,11 +129,11 @@ class TestUplinksBatch:
 
 
 class TestIngestBatch:
-    def test_counts_and_store(self, spark_utc, world, tmp_path):
+    def test_counts_and_store(self, spark, world, tmp_path):
         root = str(tmp_path / "tsdb")
-        counts = etl.ingest_batch(spark_utc, world.landing_dir, root)
+        counts = etl.ingest_batch(spark, world.landing_dir, root)
         assert counts["accepted"] > 0
-        stored = spark_utc.read.parquet(root)
+        stored = spark.read.parquet(root)
         assert stored.count() == counts["accepted"]
         files = parquet_files_per_partition(root)
         assert files and set(files.values()) == {1}  # one file per (metric, date)

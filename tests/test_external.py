@@ -90,8 +90,8 @@ class TestOCO2:
         ov = oco2.overpasses_pdf(sf=0.1)
         assert ov["xco2_ppm"].std() < 3.0
 
-    def test_empty_schema_stable(self, spark_utc):
-        df = oco2.overpasses(spark_utc, sf=0.008)
+    def test_empty_schema_stable(self, spark):
+        df = oco2.overpasses(spark, sf=0.008)
         assert df.count() == 0
         assert "xco2_ppm" in df.columns
 
@@ -171,9 +171,9 @@ class TestStatistics:
         ve = t[t["city"] == "vejle"]["tco2e"].sum()
         assert tr > ve
 
-    def test_downscale_conserves_mass(self, spark_utc):
+    def test_downscale_conserves_mass(self, spark):
         totals = statistics.annual_totals_pdf()
-        grid = statistics.downscaled_grid(spark_utc).toPandas()
+        grid = statistics.downscaled_grid(spark).toPandas()
         got = grid.groupby(["city", "sector"])["tco2e"].sum()
         for (city, sector), v in got.items():
             want = totals[
@@ -181,15 +181,15 @@ class TestStatistics:
             ]["tco2e"].iloc[0]
             assert abs(v - want) / want < 1e-6
 
-    def test_uncertainty_bounds_ordered(self, spark_utc):
-        grid = statistics.downscaled_grid(spark_utc)
+    def test_uncertainty_bounds_ordered(self, spark):
+        grid = statistics.downscaled_grid(spark)
         bad = grid.filter(
             (F.col("tco2e_lo") > F.col("tco2e")) | (F.col("tco2e") > F.col("tco2e_hi"))
         )
         assert bad.count() == 0
 
-    def test_transport_concentrated_near_roads(self, spark_utc):
-        grid = statistics.downscaled_grid(spark_utc).filter(
+    def test_transport_concentrated_near_roads(self, spark):
+        grid = statistics.downscaled_grid(spark).filter(
             (F.col("sector") == "road_transport") & (F.col("city") == "trondheim")
         ).toPandas()
         cells = citygml.grid_pdf()

@@ -7,7 +7,7 @@ from repro.oracle import assert_equivalent
 
 
 class TestSensorCitySeries:
-    def test_network_mean_oracle(self, spark_utc, world):
+    def test_network_mean_oracle(self, spark, world):
         got = (
             harmonize.sensor_city_series(world.points)
             .filter(F.col("metric") == "air.no2")
@@ -149,8 +149,8 @@ class TestSourceProfile:
         prof = harmonize.source_profile(traffic_df, unit_cols=("link_id",))
         assert prof["units"] == 7
 
-    def test_empty_source(self, spark_utc):
-        empty = spark_utc.createDataFrame([], "ts timestamp, v double")
+    def test_empty_source(self, spark):
+        empty = spark.createDataFrame([], "ts timestamp, v double")
         prof = harmonize.source_profile(empty)
         assert prof["rows"] == 0 and prof["cadence_min"] is None
 
@@ -166,7 +166,7 @@ class TestJoinCoverage:
         cov = harmonize.join_coverage(tr, st)
         assert 0.9 <= cov <= 1.0  # hourly station covers hourly buckets
 
-    def test_zero_for_disjoint(self, spark_utc, traffic_df):
+    def test_zero_for_disjoint(self, spark, traffic_df):
         tr = harmonize.traffic_series(traffic_df)
         other = tr.withColumn("bucket", F.col("bucket") + F.expr("INTERVAL 400 DAYS"))
         assert harmonize.join_coverage(tr, other) == 0.0

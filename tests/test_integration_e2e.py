@@ -3,6 +3,9 @@
 sensors → LoRaWAN → TTN dedup → MQTT landing → Structured Streaming →
 TSDB → dashboards/analyses, with completeness accounting at each hop.
 """
+import importlib.util
+import pathlib
+
 import pandas as pd
 from pyspark.sql import functions as F
 
@@ -24,43 +27,41 @@ class TestCompletenessChain:
     def test_landed_vs_uplinks(self, world):
         assert world.uplinks.count() == world.n_landed
 
-    def test_points_explosion(self, world, streamed):
-        accepted = streamed["points"].count()
+    def test_points_explosion(self, world):
+        accepted = world.points.count()
         quarantined = world.quarantined.count()
         assert accepted + quarantined == world.n_landed * len(PAYLOAD_COLS)
 
-    def test_per_sensor_chain(self, world, streamed):
+    def test_per_sensor_chain(self, world):
         # For one healthy sensor: every delivered packet reaches the TSDB.
         delivered = len(
             world.receptions_pdf[world.receptions_pdf["sensor_id"] == "T-00"]
             .drop_duplicates(["f_cnt"])
         )
-        stored = streamed["points"].filter(
+        stored = world.points.filter(
             "sensor_id = 'T-00' AND metric = 'air.co2'"
         ).count()
         assert stored == delivered
 
 
 class TestAnalysesOnStreamedData:
-    def test_dashboard_from_tsdb(self, spark_utc, streamed):
-        pts = store.read(spark_utc, streamed["tsdb_root"], metric="air.no2")
-        aq = dashboard.air_quality_index(
-            store.read(spark_utc, streamed["tsdb_root"])
-        )
+    def test_dashboard_from_tsdb(self, spark, world):
+        pts = store.read(spark, world.tsdb_root, metric="air.no2")
+        aq = dashboard.air_quality_index(store.read(spark, world.tsdb_root))
         assert aq.count() == 14
         s = query.series(pts, "1h-avg")
         assert s.count() > 0
 
-    def test_harmonized_frame_from_tsdb(self, spark_utc, streamed, nilu_df, traffic_df):
+    def test_harmonized_frame_from_tsdb(self, spark, world, nilu_df, traffic_df):
         wide = harmonize.integrated_city_frame(
-            store.read(spark_utc, streamed["tsdb_root"]), nilu_df, traffic_df
+            store.read(spark, world.tsdb_root), nilu_df, traffic_df
         )
         assert wide.filter("air_co2 IS NOT NULL AND jam_factor IS NOT NULL").count() > 100
 
-    def test_faults_visible_end_to_end(self, spark_utc, streamed):
+    def test_faults_visible_end_to_end(self, spark, world):
         # T-03 died at hour 30: its last TSDB point is right before.
         last = (
-            store.read(spark_utc, streamed["tsdb_root"], sensor_id="T-03")
+            store.read(spark, world.tsdb_root, sensor_id="T-03")
             .agg(F.max("ts").alias("m"))
             .collect()[0]["m"]
         )
@@ -69,14 +70,14 @@ class TestAnalysesOnStreamedData:
         assert last > death - pd.Timedelta(hours=1)
 
     def test_gateway_outage_invisible_in_data_but_visible_in_metadata(
-        self, spark_utc, world, streamed
+        self, spark, world
     ):
         """The §2.3 punchline: during gw-tr-1's outage the *data* keeps
         flowing (coverage overlap) while the *network metadata* shows
         the hole — exactly why the dataport monitors metadata."""
         o = world.outages[0]
         pts = store.read(
-            spark_utc, streamed["tsdb_root"], metric="air.co2", city="trondheim",
+            spark, world.tsdb_root, metric="air.co2", city="trondheim",
             start=o.start, end=o.end,
         )
         assert pts.select("sensor_id").distinct().count() >= 11
@@ -90,9 +91,13 @@ class TestAnalysesOnStreamedData:
 
 class TestSparkSubmitJobSmoke:
     def test_jobs_importable(self):
-        import importlib
-        import pathlib
-
+        """Every job imports, so one that names a removed function
+        fails here, and has the ``run``/``main`` entrypoints."""
         jobs_dir = pathlib.Path(__file__).resolve().parents[1] / "jobs"
-        found = list(jobs_dir.glob("*.py"))
+        found = sorted(jobs_dir.glob("*.py"))
         assert len(found) >= 9  # one per experiment table
+        for path in found:
+            spec = importlib.util.spec_from_file_location(f"jobs.{path.stem}", path)
+            job = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(job)
+            assert callable(job.run) and callable(job.main), path.name

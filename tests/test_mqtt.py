@@ -49,14 +49,14 @@ class TestLanding:
                     "T", ""
                 ).startswith(hour[:8] + hour[8:])
 
-    def test_empty_input_creates_dir(self, tmp_path, spark_utc, world):
+    def test_empty_input_creates_dir(self, tmp_path, spark, world):
         empty = world.receptions_pdf.iloc[0:0]
         out = str(tmp_path / "empty_landing")
         n = mqtt.land_messages(
             ttn_dedup(
-                spark_utc.createDataFrame(
+                spark.createDataFrame(
                     empty,
-                    schema=spark_utc.createDataFrame(world.receptions_pdf).schema,
+                    schema=spark.createDataFrame(world.receptions_pdf).schema,
                 )
             ),
             out,

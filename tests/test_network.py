@@ -50,20 +50,20 @@ class TestReceptions:
 
 
 class TestTTNDedup:
-    def test_one_row_per_uplink(self, spark_utc, world):
-        dedup = network.ttn_dedup(spark_utc.createDataFrame(world.receptions_pdf))
+    def test_one_row_per_uplink(self, spark, world):
+        dedup = network.ttn_dedup(spark.createDataFrame(world.receptions_pdf))
         assert (
             dedup.groupBy("sensor_id", "f_cnt").count().filter("count > 1").count()
             == 0
         )
 
-    def test_keeps_best_rssi(self, spark_utc, world):
-        dedup = network.ttn_dedup(spark_utc.createDataFrame(world.receptions_pdf))
+    def test_keeps_best_rssi(self, spark, world):
+        dedup = network.ttn_dedup(spark.createDataFrame(world.receptions_pdf))
         row = dedup.filter("n_gateways >= 2").first()
         rssis = [g["rssi"] for g in row["gateways"]]
         assert rssis == sorted(rssis, reverse=True)
 
-    def test_whole_output_matches_duckdb_oracle(self, spark_utc, world):
+    def test_whole_output_matches_duckdb_oracle(self, spark, world):
         """Every uplink's payload, n_gateways and gateway list (strongest
         first, equal RSSIs by gateway id) equal DuckDB's, row for row."""
         rec = world.receptions_pdf
@@ -80,7 +80,7 @@ class TestTTNDedup:
                         ORDER BY rssi DESC, gateway_id) AS gateways
             FROM rec GROUP BY sensor_id, f_cnt
         """).df()
-        got = network.ttn_dedup(spark_utc.createDataFrame(rec)).toPandas()
+        got = network.ttn_dedup(spark.createDataFrame(rec)).toPandas()
         assert list(got.columns) == [
             "sensor_id", "f_cnt", *rec.columns.drop(["sensor_id", "f_cnt", "gateway_id", "rssi"]),
             "n_gateways", "gateways",
@@ -95,9 +95,9 @@ class TestTTNDedup:
             check_exact=True,
         )
 
-    def test_count_matches_distinct_uplinks_oracle(self, spark_utc, world):
+    def test_count_matches_distinct_uplinks_oracle(self, spark, world):
         rec = world.receptions_pdf[["sensor_id", "f_cnt", "city"]]
-        dedup = network.ttn_dedup(spark_utc.createDataFrame(world.receptions_pdf))
+        dedup = network.ttn_dedup(spark.createDataFrame(world.receptions_pdf))
         got = dedup.groupBy("city").agg(F.count(F.lit(1)).alias("uplinks"))
         assert_equivalent(
             got,
@@ -109,8 +109,8 @@ class TestTTNDedup:
             rec=rec,
         )
 
-    def test_n_gateways_matches_reception_rows_oracle(self, spark_utc, world):
-        dedup = network.ttn_dedup(spark_utc.createDataFrame(world.receptions_pdf))
+    def test_n_gateways_matches_reception_rows_oracle(self, spark, world):
+        dedup = network.ttn_dedup(spark.createDataFrame(world.receptions_pdf))
         got = dedup.groupBy("sensor_id").agg(
             F.sum("n_gateways").alias("gw_receptions")
         )
@@ -120,9 +120,9 @@ class TestTTNDedup:
             rec=world.receptions_pdf[["sensor_id", "f_cnt"]],
         )
 
-    def test_payload_preserved(self, spark_utc, world):
+    def test_payload_preserved(self, spark, world):
         dedup = network.ttn_dedup(
-            spark_utc.createDataFrame(world.receptions_pdf)
+            spark.createDataFrame(world.receptions_pdf)
         ).toPandas()
         merged = dedup.merge(
             world.readings_pdf, on=["sensor_id", "f_cnt"], suffixes=("", "_orig")

@@ -28,13 +28,13 @@ BUILDERS = {
 
 
 @pytest.fixture(scope="module")
-def irr(spark_utc, world):
-    return battery.irradiance_table(spark_utc, sf=world.sf, seed=0)
+def irr(spark, world):
+    return battery.irradiance_table(spark, sf=world.sf, seed=0)
 
 
 @pytest.mark.parametrize("name", list(BUILDERS))
-def test_building_runs_no_job(spark_utc, world, nilu_df, traffic_df, irr, name):
-    sc = spark_utc.sparkContext
+def test_building_runs_no_job(spark, world, nilu_df, traffic_df, irr, name):
+    sc = spark.sparkContext
     group = f"build-{name}"
     sc.setJobGroup(group, f"build {name}")
     try:

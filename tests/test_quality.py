@@ -15,7 +15,7 @@ class TestRobustOutliers:
         frac = out.filter("outlier").count() / out.count()
         assert frac < 0.01
 
-    def test_injected_spike_caught(self, spark_utc, clean_world):
+    def test_injected_spike_caught(self, spark, clean_world):
         pts = clean_world.points.filter("metric = 'air.co2'").limit(2000)
         spike = pts.limit(1).withColumn("value", F.lit(4000.0))
         out = quality.robust_outliers(pts.union(spike))

@@ -1,12 +1,12 @@
 """runner.World: attribute access over the dict build_world returns,
-the one shape of build_world's points, and the driver-memory rule
-``get_spark`` launches the JVM with."""
+the world build_world stops at without the streaming ingest, and the
+driver-memory rule ``get_spark`` launches the JVM with."""
 import copy
+import os
 
 import pytest
 
 from repro.runner import World, build_world, driver_memory
-from repro.tsdb import store
 from tests.conftest import SEED, TEST_SF
 
 
@@ -29,13 +29,17 @@ class TestWorld:
 
 
 class TestBuildWorld:
-    def test_streamed_points_have_the_batch_shape_and_rows(self, spark_utc, world, tmp_path):
-        """With or without the streaming ingest, points are
-        :data:`store.POINT_COLUMNS` and hold the same rows."""
-        w = build_world(spark_utc, sf=TEST_SF, seed=SEED, work_dir=str(tmp_path))
-        assert w.points.columns == store.POINT_COLUMNS == world.points.columns
-        assert w.points.count() == world.points.count()
-        assert w.points.exceptAll(world.points).count() == 0
+    def test_without_streaming_stops_at_the_landing_zone(self, spark, tmp_path):
+        """``run_streaming=False`` lands the messages and parses their
+        uplinks, but ingests nothing: no points, no quarantine, no
+        ``stream/`` directory."""
+        w = build_world(
+            spark, sf=TEST_SF, seed=SEED, work_dir=str(tmp_path), run_streaming=False,
+        )
+        assert os.path.isdir(w.landing_dir) and w.n_landed > 0
+        assert w.uplinks.count() == w.n_landed
+        assert not hasattr(w, "points") and not hasattr(w, "quarantined")
+        assert not os.path.exists(tmp_path / "stream")
 
 
 def _gib(mem: str) -> float:

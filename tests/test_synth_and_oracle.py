@@ -9,16 +9,16 @@ from repro.oracle import assert_equivalent
 
 
 class TestCttReexports:
-    def test_registries(self, spark_utc):
-        assert deployment.sensors(spark_utc).count() == 14
-        assert deployment.gateways(spark_utc).count() == 5
-        assert deployment.stations(spark_utc).count() == 2
-        assert deployment.road_links(spark_utc).count() == 7
+    def test_registries(self, spark):
+        assert deployment.sensors(spark).count() == 14
+        assert deployment.gateways(spark).count() == 5
+        assert deployment.stations(spark).count() == 2
+        assert deployment.road_links(spark).count() == 7
 
-    def test_external_feeds(self, spark_utc):
-        assert nilu.observations(spark_utc, sf=0.005).count() > 0
-        assert herecom.feed(spark_utc, sf=0.005).count() > 0
-        assert municipal.counts(spark_utc, sf=0.005).count() > 0
+    def test_external_feeds(self, spark):
+        assert nilu.observations(spark, sf=0.005).count() > 0
+        assert herecom.feed(spark, sf=0.005).count() > 0
+        assert municipal.counts(spark, sf=0.005).count() > 0
 
 
 class TestOracle:
@@ -40,9 +40,9 @@ class TestOracle:
                 got, "SELECT sensor_id, count(*) AS n FROM pts GROUP BY 1", pts=pts
             )
 
-    def test_accepts_pandas_tables(self, spark_utc):
+    def test_accepts_pandas_tables(self, spark):
         pdf = pd.DataFrame({"k": [1, 1, 2], "v": [1.0, 2.0, 3.0]})
-        got = spark_utc.createDataFrame(pdf).groupBy("k").agg(
+        got = spark.createDataFrame(pdf).groupBy("k").agg(
             F.sum("v").alias("s")
         )
         assert_equivalent(got, "SELECT k, sum(v) AS s FROM t GROUP BY k", t=pdf)

@@ -8,46 +8,46 @@ from repro.tsdb import query, store
 
 
 @pytest.fixture(scope="module")
-def root(spark_utc, world, tmp_path_factory):
+def root(spark, world, tmp_path_factory):
     r = str(tmp_path_factory.mktemp("tsdb_root"))
     store.write(world.points, r)
     return r
 
 
 class TestStore:
-    def test_round_trip_count(self, spark_utc, world, root):
-        assert store.read(spark_utc, root).count() == world.points.count()
+    def test_round_trip_count(self, spark, world, root):
+        assert store.read(spark, root).count() == world.points.count()
 
-    def test_metric_filter(self, spark_utc, world, root):
-        got = store.read(spark_utc, root, metric="air.no2").count()
+    def test_metric_filter(self, spark, world, root):
+        got = store.read(spark, root, metric="air.no2").count()
         want = world.points.filter("metric = 'air.no2'").count()
         assert got == want
 
-    def test_time_range_filter(self, spark_utc, world, root):
+    def test_time_range_filter(self, spark, world, root):
         t0 = pd.Timestamp("2017-01-02")
         t1 = pd.Timestamp("2017-01-03")
-        got = store.read(spark_utc, root, start=t0, end=t1)
+        got = store.read(spark, root, start=t0, end=t1)
         assert got.filter((F.col("ts") < F.lit(t0)) | (F.col("ts") >= F.lit(t1))).count() == 0
         want = world.points.filter(
             (F.col("ts") >= F.lit(t0)) & (F.col("ts") < F.lit(t1))
         ).count()
         assert got.count() == want
 
-    def test_tag_filters(self, spark_utc, world, root):
-        got = store.read(spark_utc, root, sensor_id="V-00", city="vejle").count()
+    def test_tag_filters(self, spark, world, root):
+        got = store.read(spark, root, sensor_id="V-00", city="vejle").count()
         want = world.points.filter("sensor_id = 'V-00'").count()
         assert got == want
 
-    def test_missing_columns_rejected(self, spark_utc, world, tmp_path):
+    def test_missing_columns_rejected(self, spark, world, tmp_path):
         with pytest.raises(ValueError, match="missing columns"):
             store.write(world.points.drop("city"), str(tmp_path / "bad"))
 
-    def test_append_mode(self, spark_utc, world, tmp_path):
+    def test_append_mode(self, spark, world, tmp_path):
         r = str(tmp_path / "appendable")
         small = world.points.limit(100)
         store.write(small, r)
         store.write(small, r)
-        assert store.read(spark_utc, r).count() == 200
+        assert store.read(spark, r).count() == 200
 
 
 class TestDownsample:
@@ -61,8 +61,8 @@ class TestDownsample:
         with pytest.raises(ValueError):
             query.parse_downsample(bad)
 
-    def test_hourly_avg_oracle(self, spark_utc, world, root):
-        pts = store.read(spark_utc, root, metric="air.co2", sensor_id="T-00")
+    def test_hourly_avg_oracle(self, spark, world, root):
+        pts = store.read(spark, root, metric="air.co2", sensor_id="T-00")
         got = query.downsample(pts, "1h-avg").select(
             "bucket", "sensor_id", F.round("value", 4).alias("value")
         )
@@ -76,8 +76,8 @@ class TestDownsample:
             pts=pts.toPandas(),
         )
 
-    def test_daily_max_oracle(self, spark_utc, world, root):
-        pts = store.read(spark_utc, root, metric="air.pm10")
+    def test_daily_max_oracle(self, spark, world, root):
+        pts = store.read(spark, root, metric="air.pm10")
         got = query.downsample(pts, "1d-max").select(
             "bucket", "sensor_id", F.round("value", 4).alias("value")
         )
@@ -91,8 +91,8 @@ class TestDownsample:
             pts=pts.toPandas(),
         )
 
-    def test_count_oracle(self, spark_utc, world, root):
-        pts = store.read(spark_utc, root, metric="node.battery", city="vejle")
+    def test_count_oracle(self, spark, world, root):
+        pts = store.read(spark, root, metric="node.battery", city="vejle")
         got = query.downsample(pts, "6h-count", by=("city",)).select(
             "bucket", "city", F.col("value").cast("long").alias("value")
         )
@@ -106,7 +106,7 @@ class TestDownsample:
             pts=pts.toPandas(),
         )
 
-    def test_series_ordered(self, spark_utc, root):
-        pts = store.read(spark_utc, root, metric="air.no2", sensor_id="T-01")
+    def test_series_ordered(self, spark, root):
+        pts = store.read(spark, root, metric="air.no2", sensor_id="T-01")
         s = query.series(pts, "1h-avg").toPandas()
         assert s["bucket"].is_monotonic_increasing

@@ -33,7 +33,7 @@ class TestSensorTwins:
         st = twins.sensor_twins(world.uplinks, H(29)).filter("sensor_id = 'T-03'")
         assert st.first()["status"] == "OK"
 
-    def test_last_seen_matches_oracle(self, spark_utc, world):
+    def test_last_seen_matches_oracle(self, spark, world):
         got = twins.sensor_twins(world.uplinks, H(24)).select(
             "sensor_id", "last_seen"
         )
@@ -99,7 +99,7 @@ class TestPacketGaps:
         frac = gaps.filter("missed_cycles > 0").count() / gaps.count()
         assert frac < 0.12  # ~2–4 % radio loss + outage windows
 
-    def test_lost_frames_match_counter_holes_oracle(self, spark_utc, world):
+    def test_lost_frames_match_counter_holes_oracle(self, spark, world):
         got = (
             twins.packet_gaps(world.uplinks)
             .filter("lost_frames IS NOT NULL")

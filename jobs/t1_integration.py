@@ -12,80 +12,41 @@ from pyspark.sql import functions as F
 
 from repro.core import harmonize
 from repro.external import citygml, herecom, municipal, nilu, oco2, statistics
-from repro.iot import deployment
 from repro.runner import build_world, get_spark, print_table
 
 
 def run(spark, *, sf: float = 0.05, seed: int = 0) -> pd.DataFrame:
     w = build_world(spark, sf=sf, seed=seed, with_faults=False)
-    base = harmonize.sensor_city_series(w.points).select("city", "bucket").distinct().cache()
-
-    ni = nilu.observations(spark, sf=sf, seed=seed)
     tr = herecom.feed(spark, sf=sf, seed=seed)
     mu = municipal.counts(spark, sf=sf, seed=seed)
-    ov = oco2.overpasses(spark, sf=sf, seed=seed)
-    bld = citygml.buildings(spark, seed=seed)
-    ghg = statistics.downscaled_grid(spark, seed=seed)
-
-    def cov(df):
-        return harmonize.join_coverage(base, harmonize.bucketed(df))
-
-    rows = [
-        {
-            "source": "sensor_network",
-            "paper_example": "CTT low-cost units (12+2)",
-            **harmonize.source_profile(w.points, unit_cols=("sensor_id",)),
-            "hourly_coverage": 1.0,
-            "role": "primary measurements",
-        },
-        {
-            "source": "official_air_quality",
-            "paper_example": "NILU reference stations",
-            **harmonize.source_profile(ni, unit_cols=("station_id",)),
-            "hourly_coverage": cov(ni),
-            "role": "ground truth / calibration (E5)",
-        },
-        {
-            "source": "traffic_density",
-            "paper_example": "here.com jam factor",
-            **harmonize.source_profile(tr, unit_cols=("link_id",)),
-            "hourly_coverage": cov(tr),
-            "role": "traffic-emission correlation (E3)",
-        },
-        {
-            "source": "municipal_traffic_counts",
-            "paper_example": "tube counters, short campaign",
-            **harmonize.source_profile(mu, unit_cols=("link_id",)),
-            "hourly_coverage": cov(mu),
-            "role": "validate traffic estimates",
-        },
-        {
-            "source": "remote_sensing",
-            "paper_example": "NASA OCO-2 XCO2",
-            **harmonize.source_profile(ov, unit_cols=("city", "footprint_id")),
-            "hourly_coverage": cov(ov),
-            "role": "top-down grounding, low spatial res",
-        },
-        {
-            "source": "city_3d_model",
-            "paper_example": "Vejle CityGML",
-            "rows": bld.count(),
-            "units": bld.count(),
-            "cadence_min": None,
-            "span_days": None,
-            "hourly_coverage": None,
-            "role": "visualization + geometry (E9)",
-        },
-        {
-            "source": "national_statistics",
-            "paper_example": "GHG sector totals, downscaled",
-            "rows": ghg.count(),
-            "units": ghg.select("cell_id").distinct().count(),
-            "cadence_min": 525_600.0,  # annual
-            "span_days": 365.0,
-            "hourly_coverage": None,
-            "role": "context, high uncertainty",
-        },
+    # (source, paper_example, role, frame, unit columns); the sensor
+    # network's frame is the world's points.
+    sources = [
+        ("sensor_network", "CTT low-cost units (12+2)", "primary measurements",
+         w.points, ("sensor_id",)),
+        ("official_air_quality", "NILU reference stations", "ground truth / calibration (E5)",
+         nilu.observations(spark, sf=sf, seed=seed), ("station_id",)),
+        ("traffic_density", "here.com jam factor", "traffic-emission correlation (E3)",
+         tr, ("link_id",)),
+        ("municipal_traffic_counts", "tube counters, short campaign",
+         "validate traffic estimates", mu, ("link_id",)),
+        ("remote_sensing", "NASA OCO-2 XCO2", "top-down grounding, low spatial res",
+         oco2.overpasses(spark, sf=sf, seed=seed), ("city", "footprint_id")),
+        ("city_3d_model", "Vejle CityGML", "visualization + geometry (E9)",
+         citygml.buildings(spark, seed=seed), ("building_id",)),
+        ("national_statistics", "GHG sector totals, downscaled", "context, high uncertainty",
+         statistics.downscaled_grid(spark, seed=seed), ("cell_id",)),
+    ]
+    matrix = harmonize.source_matrix(
+        w.points, {name: (df, units) for name, _, _, df, units in sources[1:]}
+    ).toPandas()
+    # The inventory is annual: its cadence and span are facts, not data.
+    ghg = matrix["source"] == "national_statistics"
+    matrix.loc[ghg, ["cadence_min", "span_days"]] = [525_600.0, 365.0]
+    meta = pd.DataFrame([s[:3] for s in sources], columns=["source", "paper_example", "role"])
+    out = meta.merge(matrix, on="source")[
+        ["source", "paper_example", "rows", "units", "cadence_min", "span_days",
+         "hourly_coverage", "role"]
     ]
     # Validate the traffic counts against the here.com estimate (the
     # paper's stated use of municipal counts).
@@ -100,7 +61,6 @@ def run(spark, *, sf: float = 0.05, seed: int = 0) -> pd.DataFrame:
         .agg(F.corr("jam", "vehicles").alias("r"))
         .collect()[0]["r"]
     )
-    out = pd.DataFrame(rows)
     out.attrs["municipal_vs_here_corr"] = round(float(r), 3)
     return out
 

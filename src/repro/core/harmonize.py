@@ -2,21 +2,23 @@
 
 §2.2: "The sources contain highly heterogeneous data, with different
 timescales, measurement frequencies, spatial distributions and
-granularities ..." — the integration layer aligns every source onto a
-common time grid per city so analyses can join across them:
+granularities ..." — the integration layer puts the timed sources on
+one hourly grid per city, so analyses can join across them:
 
-* sensor data points (5-min, many locations) → per-city bucket mean,
-* NILU station observations (hourly, one location) → bucket value,
-* here.com jam factor (5-min, per link) → per-city bucket mean,
-* municipal counts (hourly, short campaign) → bucket sum,
-* OCO-2 soundings (sparse instants) → per-overpass city mean.
-
-``source_profile`` quantifies each source's heterogeneity (cadence,
-spatial units, row counts) — the measured half of paper Table 1.
+* :func:`integrated_city_frame` — one wide row per (city, hour): the
+  sensor network's mean per metric, the NILU station value per field
+  and the here.com mean jam factor;
+* :func:`station_series` — NILU observations per (city, field, hour),
+  the reference series of the calibration (E5);
+* :func:`source_matrix` — the measured half of paper Table 1: each
+  source's rows, spatial units, cadence, time span and coverage of the
+  sensor network's hourly grid.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame
+from functools import reduce
+
+from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
 from repro.external import nilu
@@ -28,41 +30,12 @@ def bucketed(df: DataFrame) -> DataFrame:
     return df.withColumn("bucket", F.window("ts", "1 hour").getField("start"))
 
 
-def sensor_city_series(points: DataFrame) -> DataFrame:
-    """TSDB points → per (city, metric, bucket) network mean.
-
-    The network aggregate across sensor units is the paper's
-    "aggregation of data from multiple sensor units" (§2.2).
-    """
-    return (
-        bucketed(points)
-        .groupBy("city", "metric", "bucket")
-        .agg(
-            F.avg("value").alias("value"),
-            F.count("value").alias("n_points"),
-            F.countDistinct("sensor_id").alias("n_sensors"),
-        )
-    )
-
-
 def station_series(nilu_obs: DataFrame) -> DataFrame:
     """NILU observations → per (city, field, bucket) value."""
     return (
         bucketed(nilu_obs)
         .groupBy("city", "field", "bucket")
         .agg(F.avg("value").alias("value"))
-    )
-
-
-def traffic_series(feed: DataFrame) -> DataFrame:
-    """here.com feed → per (city, bucket) mean jam factor."""
-    return (
-        bucketed(feed)
-        .groupBy("city", "bucket")
-        .agg(
-            F.avg("jam_factor").alias("jam_factor"),
-            F.countDistinct("link_id").alias("n_links"),
-        )
     )
 
 
@@ -108,41 +81,75 @@ def integrated_city_frame(
     )
 
 
-def source_profile(df: DataFrame, *, unit_cols: tuple[str, ...] = ()) -> dict:
-    """Quantify a source's heterogeneity: rows, spatial units, median
-    cadence (minutes), and time span (days). Collected to the driver —
-    profiles are scalar summaries.
+
+def source_matrix(
+    points: DataFrame, sources: dict[str, tuple[DataFrame, tuple[str, ...]]]
+) -> DataFrame:
+    """The measured half of paper Table 1: one row per source.
+
+    ``points`` is the ``sensor_network`` source (unit ``sensor_id``) and
+    gives the hourly (city, bucket) grid that coverage is measured
+    against; ``sources`` maps every other source to its frame and unit
+    columns. Columns: source, rows, units (distinct unit-column values),
+    cadence_min (median gap between distinct instants), span_days and
+    hourly_coverage (the share of the sensor grid the source has a row
+    in). An empty source keeps its row, with zero rows, span and
+    coverage; one distinct instant has no cadence; a source without a
+    ``ts`` column has no cadence, span or coverage.
+
+    Three aggregates over the union of the sources, joined on
+    ``source``: rows and distinct units in one ``groupBy``; cadence and
+    span from a ``lag`` over each timed source's distinct instants; the
+    coverage from one semi-join of each timed source's hours against
+    the grid.
     """
-    n = df.count()
-    units = (
-        df.select(*unit_cols).distinct().count() if unit_cols else 1
+    named = {"sensor_network": (points, ("sensor_id",)), **sources}
+    timed = {name: "ts" in df.columns for name, (df, _) in named.items()}
+    profile = reduce(DataFrame.unionByName, [
+        df.select(
+            F.lit(name).alias("source"),
+            F.concat_ws("/", *[F.col(c).cast("string") for c in unit_cols]).alias("unit"),
+        )
+        for name, (df, unit_cols) in named.items()
+    ]).groupBy("source").agg(
+        F.count(F.lit(1)).alias("rows"), F.countDistinct("unit").alias("units")
     )
-    span = df.agg(F.min("ts").alias("t0"), F.max("ts").alias("t1")).collect()[0]
-    if n <= 1 or span["t0"] is None:
-        return {"rows": n, "units": units, "cadence_min": None, "span_days": 0.0}
-    distinct_ts = df.select("ts").distinct()
-    from pyspark.sql import Window
-
-    w = Window.orderBy("ts")
-    gaps = distinct_ts.withColumn(
-        "gap", F.unix_timestamp("ts") - F.unix_timestamp(F.lag("ts").over(w))
-    ).filter(F.col("gap").isNotNull())
-    med = gaps.agg(F.median("gap").alias("m")).collect()[0]["m"]
-    span_days = (span["t1"] - span["t0"]).total_seconds() / 86400.0
-    return {
-        "rows": n,
-        "units": units,
-        "cadence_min": round(med / 60.0, 2) if med is not None else None,
-        "span_days": round(span_days, 2),
-    }
-
-
-def join_coverage(base_buckets: DataFrame, other: DataFrame) -> float:
-    """Fraction of base (city, bucket) rows that the other source covers."""
-    on = ["city", "bucket"]
-    total = base_buckets.select(*on).distinct()
-    n_total = total.count()
-    if n_total == 0:
-        return 0.0
-    n_hit = total.join(other.select(*on).distinct(), on, "left_semi").count()
-    return round(n_hit / n_total, 4)
+    instants = reduce(DataFrame.unionByName, [
+        bucketed(df.select(F.lit(name).alias("source"), "city", "ts"))
+        for name, (df, _) in named.items() if timed[name]
+    ])
+    prev = F.lag("ts").over(Window.partitionBy("source").orderBy("ts"))
+    timing = (
+        instants.select("source", "ts").distinct()
+        .withColumn("gap", F.unix_timestamp("ts") - F.unix_timestamp(prev))
+        .groupBy("source")
+        .agg(
+            F.median("gap").alias("gap"),
+            ((F.unix_micros(F.max("ts")) - F.unix_micros(F.min("ts"))) / 86_400e6).alias("span"),
+        )
+    )
+    grid = bucketed(points).select("city", "bucket").distinct()
+    hits = (
+        instants.select("source", "city", "bucket").distinct()
+        .join(grid, ["city", "bucket"], "left_semi")
+        .groupBy("source")
+        .agg(F.count(F.lit(1)).alias("hits"))
+    )
+    names = points.sparkSession.createDataFrame(
+        list(timed.items()), "source string, timed boolean"
+    )
+    coverage = F.coalesce(F.try_divide("hits", "n_grid"), F.lit(0.0))
+    return (
+        names.join(profile, "source", "left")
+        .join(timing, "source", "left")
+        .join(hits, "source", "left")
+        .crossJoin(grid.agg(F.count(F.lit(1)).alias("n_grid")))
+        .select(
+            "source",
+            F.coalesce("rows", F.lit(0)).alias("rows"),
+            F.coalesce("units", F.lit(0)).alias("units"),
+            F.round(F.col("gap") / 60.0, 2).alias("cadence_min"),
+            F.when(F.col("timed"), F.round(F.coalesce("span", F.lit(0.0)), 2)).alias("span_days"),
+            F.when(F.col("timed"), F.round(coverage, 4)).alias("hourly_coverage"),
+        )
+    )

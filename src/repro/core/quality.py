@@ -40,16 +40,14 @@ def robust_outliers(points: DataFrame, *, z: float = OUTLIER_Z) -> DataFrame:
     z = |value − median| / (1.4826·MAD), computed per (city, metric).
     Returns the input plus ``med``, ``mad``, ``z_score``, ``outlier``.
     """
-    med = points.groupBy("city", "metric").agg(F.median("value").alias("med"))
-    with_med = points.join(med, ["city", "metric"])
-    mad = (
-        with_med.withColumn("absdev", F.abs(F.col("value") - F.col("med")))
-        .groupBy("city", "metric")
-        .agg(F.median("absdev").alias("mad"))
-    )
-    out = with_med.join(mad, ["city", "metric"]).withColumn(
-        "z_score",
-        F.abs(F.col("value") - F.col("med")) / (1.4826 * F.col("mad") + 1e-9),
+    by_metric = Window.partitionBy("city", "metric")
+    out = (
+        points.withColumn("med", F.median("value").over(by_metric))
+        .withColumn("mad", F.median(F.abs(F.col("value") - F.col("med"))).over(by_metric))
+        .withColumn(
+            "z_score",
+            F.abs(F.col("value") - F.col("med")) / (1.4826 * F.col("mad") + 1e-9),
+        )
     )
     return out.withColumn("outlier", F.col("z_score") > z)
 
@@ -60,16 +58,16 @@ def flatline_sensors(points: DataFrame) -> DataFrame:
     Returns sensor_id, city, metric, date, std_sensor, std_city,
     flatline.
     """
-    daily = points.withColumn("date", F.to_date("ts"))
-    per_sensor = daily.groupBy("sensor_id", "city", "metric", "date").agg(
-        F.stddev_pop("value").alias("std_sensor"),
-        F.count(F.lit(1)).alias("n"),
-    )
-    per_city = daily.groupBy("city", "metric", "date").agg(
-        F.stddev_pop("value").alias("std_city")
+    daily = points.withColumn("date", F.to_date("ts")).withColumn(
+        "std_city", F.stddev_pop("value").over(Window.partitionBy("city", "metric", "date"))
     )
     return (
-        per_sensor.join(per_city, ["city", "metric", "date"])
+        daily.groupBy("sensor_id", "city", "metric", "date")
+        .agg(
+            F.stddev_pop("value").alias("std_sensor"),
+            F.count(F.lit(1)).alias("n"),
+            F.any_value("std_city").alias("std_city"),
+        )
         .withColumn(
             "flatline",
             (F.col("n") >= 12)
@@ -89,12 +87,10 @@ def divergence_from_network(points: DataFrame) -> DataFrame:
     sensor_day = daily.groupBy("sensor_id", "city", "metric", "date").agg(
         F.avg("value").alias("v_sensor")
     )
-    city_day = sensor_day.groupBy("city", "metric", "date").agg(
-        F.median("v_sensor").alias("v_network")
-    )
     d0 = F.min("date").over(Window.partitionBy("city", "metric"))
+    v_network = F.median("v_sensor").over(Window.partitionBy("city", "metric", "date"))
     return (
-        sensor_day.join(city_day, ["city", "metric", "date"])
+        sensor_day.withColumn("v_network", v_network)
         .withColumn("day_index", F.datediff("date", d0).cast("double"))
         .withColumn("divergence", F.col("v_sensor") - F.col("v_network"))
     )

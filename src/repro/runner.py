@@ -10,7 +10,9 @@ verify.
 """
 from __future__ import annotations
 
+import atexit
 import os
+import shutil
 import tempfile
 
 import pandas as pd
@@ -108,9 +110,13 @@ def build_world(
     tsdb_root and quarantine_dir (also returned), and adds points
     (DataFrame, :data:`repro.tsdb.store.POINT_COLUMNS`) and quarantined
     (DataFrame), read from what it wrote. Without it the world stops at
-    the landing zone and has neither.
+    the landing zone and has neither. Without a ``work_dir`` the world
+    is written to a fresh temporary directory, removed when the
+    interpreter exits; a given ``work_dir`` is kept.
     """
-    work_dir = work_dir or tempfile.mkdtemp(prefix=f"ctt_sf{sf}_")
+    if work_dir is None:
+        work_dir = tempfile.mkdtemp(prefix=f"ctt_sf{sf}_")
+        atexit.register(shutil.rmtree, work_dir, ignore_errors=True)
     if with_faults:
         flist, outages = faults.standard_scenario(deployment.SIM_START)
     else:

@@ -1,37 +1,15 @@
 """Harmonization of heterogeneous sources onto the common grid."""
+from functools import reduce
+
+import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
 from repro.core import harmonize
+from repro.external import citygml, municipal
+from repro.iot import deployment
 from repro.oracle import assert_equivalent
-
-
-class TestSensorCitySeries:
-    def test_network_mean_oracle(self, spark, world):
-        got = (
-            harmonize.sensor_city_series(world.points)
-            .filter(F.col("metric") == "air.no2")
-            .select("city", "bucket", F.round("value", 4).alias("value"), "n_sensors")
-        )
-        pts = world.points.filter("metric = 'air.no2'").toPandas()
-        assert_equivalent(
-            got,
-            """
-            SELECT city, date_trunc('hour', ts) AS bucket,
-                   round(avg(value), 4) AS value,
-                   count(DISTINCT sensor_id) AS n_sensors
-            FROM pts GROUP BY 1, 2
-            """,
-            pts=pts,
-        )
-
-    def test_sensor_aggregation_counts(self, world):
-        s = harmonize.sensor_city_series(world.points).filter(
-            "metric = 'air.co2' AND city = 'trondheim'"
-        )
-        # Early buckets (pre-fault): all 12 sensors contribute.
-        first = s.orderBy("bucket").first()
-        assert first["n_sensors"] == 12
+from tests.conftest import SEED, TEST_SF
 
 
 class TestIntegratedFrame:
@@ -126,47 +104,131 @@ class TestIntegratedFrame:
         assert r > 0.5  # different footprints, same city signal
 
 
+@pytest.fixture(scope="module")
+def sources(spark, world, nilu_df, traffic_df):
+    """Every behaviour of :func:`harmonize.source_matrix` in one call:
+    the frames and unit columns of the sources next to the sensor
+    network."""
+    day1 = F.col("ts") < F.lit(deployment.SIM_START + pd.Timedelta(days=1))
+    first = nilu_df.agg(F.min("ts")).first()[0]
+    return {
+        "sensor_copy": (world.points, ("sensor_id",)),
+        "sensor_T-00_co2": (
+            world.points.filter("metric = 'air.co2' AND sensor_id = 'T-00'"), ("sensor_id",)),
+        "nilu": (nilu_df, ("station_id",)),
+        "nilu_st-tr_no2": (
+            nilu_df.filter("station_id = 'st-tr' AND field = 'no2'"), ("station_id",)),
+        "nilu_one_instant": (nilu_df.filter(F.col("ts") == F.lit(first)), ("station_id",)),
+        "traffic": (traffic_df, ("link_id",)),
+        "traffic_shifted": (
+            traffic_df.withColumn("ts", F.col("ts") + F.expr("INTERVAL 400 DAYS")), ("link_id",)),
+        "municipal_day1": (
+            municipal.counts(spark, sf=TEST_SF, seed=SEED).filter(day1), ("link_id",)),
+        "empty": (spark.createDataFrame([], "city string, ts timestamp, v double"), ("city",)),
+        "buildings": (citygml.buildings(spark, seed=SEED), ("city", "building_id")),
+    }
+
+
+@pytest.fixture(scope="module")
+def matrix(world, sources):
+    return harmonize.source_matrix(world.points, sources).toPandas().set_index("source")
+
+
+class TestSourceMatrix:
+    def test_matrix_oracle(self, world, sources):
+        """Rows, distinct units, median gap between distinct instants,
+        span and the share of the sensor network's (city, hour) grid,
+        per source, in DuckDB: one row for each source, the empty one
+        included; no cadence for one instant; no cadence, span or
+        coverage without ``ts``."""
+        named = {"sensor_network": (world.points, ("sensor_id",)), **sources}
+        frames = []
+        for name, (df, cols) in named.items():
+            timed = "ts" in df.columns
+            pdf = df.select(*dict.fromkeys([*cols, *(["city", "ts"] if timed else [])])).toPandas()
+            frames.append(pd.DataFrame({
+                "source": name,
+                "unit": reduce(lambda a, b: a + "/" + b, (pdf[c].astype(str) for c in cols)),
+                "city": pdf["city"] if timed else None,
+                "ts": pdf["ts"] if timed else pd.NaT,
+            }))
+        assert_equivalent(
+            harmonize.source_matrix(world.points, sources),
+            """
+            WITH grid AS (
+              SELECT DISTINCT city, date_trunc('hour', ts) AS b
+              FROM src WHERE source = 'sensor_network'
+            ), p AS (
+              SELECT source, count(*) AS n, count(DISTINCT unit) AS u
+              FROM src GROUP BY source
+            ), t AS (
+              SELECT source, median(gap) AS gap,
+                     (epoch_us(max(ts)) - epoch_us(min(ts))) / 86400e6 AS span
+              FROM (
+                SELECT source, ts,
+                       epoch(ts) - epoch(lag(ts) OVER (PARTITION BY source ORDER BY ts)) AS gap
+                FROM (SELECT DISTINCT source, ts FROM src WHERE ts IS NOT NULL)
+              ) GROUP BY source
+            ), h AS (
+              SELECT source, count(*) AS hits
+              FROM (SELECT DISTINCT source, city, date_trunc('hour', ts) AS b
+                    FROM src WHERE ts IS NOT NULL)
+              JOIN grid USING (city, b) GROUP BY source
+            )
+            SELECT source, coalesce(n, 0) AS rows, coalesce(u, 0) AS units,
+                   round(gap / 60, 2) AS cadence_min,
+                   CASE WHEN timed THEN round(coalesce(span, 0), 2) END AS span_days,
+                   CASE WHEN timed THEN
+                     round(coalesce(hits, 0) / (SELECT count(*) FROM grid), 4)
+                   END AS hourly_coverage
+            FROM names LEFT JOIN p USING (source) LEFT JOIN t USING (source)
+                       LEFT JOIN h USING (source)
+            """,
+            src=pd.concat(frames, ignore_index=True),
+            names=pd.DataFrame(
+                [(n, "ts" in df.columns) for n, (df, _) in named.items()],
+                columns=["source", "timed"],
+            ),
+        )
+
+
 class TestSourceProfile:
-    def test_sensor_cadence(self, world):
-        prof = harmonize.source_profile(
-            world.points.filter("metric = 'air.co2' AND sensor_id = 'T-00'"),
-        )
-        assert prof["cadence_min"] == 5.0
+    """The rows, units and cadence columns of :func:`harmonize.source_matrix`."""
 
-    def test_sensor_units(self, world):
-        prof = harmonize.source_profile(world.points, unit_cols=("sensor_id",))
-        assert prof["units"] == 14
+    def test_sensor_cadence(self, matrix):
+        assert matrix.loc["sensor_T-00_co2", "cadence_min"] == 5.0
 
-    def test_nilu_cadence(self, nilu_df):
-        prof = harmonize.source_profile(
-            nilu_df.filter("station_id = 'st-tr' AND field = 'no2'"),
-            unit_cols=("station_id",),
-        )
-        assert prof["cadence_min"] == 60.0
-        assert prof["units"] == 1
+    def test_sensor_units(self, matrix):
+        assert matrix.loc["sensor_network", "units"] == 14
 
-    def test_traffic_units(self, traffic_df):
-        prof = harmonize.source_profile(traffic_df, unit_cols=("link_id",))
-        assert prof["units"] == 7
+    def test_nilu_cadence(self, matrix):
+        assert matrix.loc["nilu_st-tr_no2", "cadence_min"] == 60.0
+        assert matrix.loc["nilu_st-tr_no2", "units"] == 1
+        assert matrix.loc["nilu", "units"] == 2
 
-    def test_empty_source(self, spark):
-        empty = spark.createDataFrame([], "ts timestamp, v double")
-        prof = harmonize.source_profile(empty)
-        assert prof["rows"] == 0 and prof["cadence_min"] is None
+    def test_traffic_units(self, matrix):
+        assert matrix.loc["traffic", "units"] == 7
+
+    def test_empty_source(self, matrix):
+        row = matrix.loc["empty"]
+        assert row["rows"] == 0 and row["units"] == 0
+        assert pd.isna(row["cadence_min"])
+        assert row["span_days"] == 0.0 and row["hourly_coverage"] == 0.0
 
 
 class TestJoinCoverage:
-    def test_full_coverage_of_self(self, world, traffic_df):
-        tr = harmonize.traffic_series(traffic_df)
-        assert harmonize.join_coverage(tr, tr) == 1.0
+    """The hourly_coverage column of :func:`harmonize.source_matrix`."""
 
-    def test_partial_coverage(self, world, traffic_df, nilu_df):
-        tr = harmonize.traffic_series(traffic_df)
-        st = harmonize.station_series(nilu_df).withColumnRenamed("field", "f")
-        cov = harmonize.join_coverage(tr, st)
-        assert 0.9 <= cov <= 1.0  # hourly station covers hourly buckets
+    def test_full_coverage_of_self(self, matrix):
+        assert matrix.loc["sensor_network", "hourly_coverage"] == 1.0
+        assert matrix.loc["sensor_copy", "hourly_coverage"] == 1.0
 
-    def test_zero_for_disjoint(self, spark, traffic_df):
-        tr = harmonize.traffic_series(traffic_df)
-        other = tr.withColumn("bucket", F.col("bucket") + F.expr("INTERVAL 400 DAYS"))
-        assert harmonize.join_coverage(tr, other) == 0.0
+    def test_partial_coverage(self, matrix, world):
+        # One day of municipal counts covers that day's 24 hours in both
+        # cities, out of the hours the sensor network reported in.
+        grid = world.points.select("city", F.date_trunc("hour", "ts")).distinct().count()
+        assert grid > 48
+        assert matrix.loc["municipal_day1", "hourly_coverage"] == round(48 / grid, 4)
+
+    def test_zero_for_disjoint(self, matrix):
+        assert matrix.loc["traffic_shifted", "hourly_coverage"] == 0.0

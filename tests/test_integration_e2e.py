@@ -13,6 +13,7 @@ from repro.core import dashboard, harmonize
 from repro.iot import deployment as dep
 from repro.lorawan.network import PAYLOAD_COLS
 from repro.tsdb import query, store
+from tests.conftest import TEST_SF
 
 
 class TestCompletenessChain:
@@ -101,3 +102,28 @@ class TestSparkSubmitJobSmoke:
             job = importlib.util.module_from_spec(spec)
             spec.loader.exec_module(job)
             assert callable(job.run) and callable(job.main), path.name
+
+    def test_t1_runs_on_the_test_world(self, spark, clean_world, monkeypatch):
+        """``jobs/t1_integration.py`` ``run`` over the clean test world:
+        one row per Table 1 source, in the paper's order."""
+        path = pathlib.Path(__file__).resolve().parents[1] / "jobs" / "t1_integration.py"
+        spec = importlib.util.spec_from_file_location("jobs.t1_integration", path)
+        job = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(job)
+        monkeypatch.setattr(job, "build_world", lambda *a, **k: clean_world)
+        t = job.run(spark, sf=TEST_SF).set_index("source", drop=False)
+        assert list(t["source"]) == [
+            "sensor_network", "official_air_quality", "traffic_density",
+            "municipal_traffic_counts", "remote_sensing", "city_3d_model",
+            "national_statistics",
+        ]
+        assert list(t.columns) == [
+            "source", "paper_example", "rows", "units", "cadence_min", "span_days",
+            "hourly_coverage", "role",
+        ]
+        assert t.loc["sensor_network", "hourly_coverage"] == 1.0
+        assert t.loc["sensor_network", "units"] == 14
+        # sim_days = 3 ends before OCO-2's first overpass on day 3.
+        assert t.loc["remote_sensing", "rows"] == 0
+        assert t.loc["remote_sensing", "hourly_coverage"] == 0.0
+        assert t.loc["national_statistics", "cadence_min"] == 525_600.0

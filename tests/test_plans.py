@@ -21,6 +21,11 @@ BUILDERS = {
     "classify": lambda w, nl, tr, irr: hierarchy.classify(
         w.uplinks, dep.SIM_START + pd.Timedelta(hours=45)),
     "drift_scores": lambda w, nl, tr, irr: quality.drift_scores(w.points),
+    "flatline_sensors": lambda w, nl, tr, irr: quality.flatline_sensors(w.points),
+    "robust_outliers": lambda w, nl, tr, irr: quality.robust_outliers(w.points),
+    "source_matrix": lambda w, nl, tr, irr: harmonize.source_matrix(
+        w.points, {"official_air_quality": (nl, ("station_id",)),
+                   "traffic_density": (tr, ("link_id",))}),
     "diurnal_profiles": lambda w, nl, tr, irr: co2_traffic.diurnal_profiles(
         co2_traffic.aligned_series(
             w.points, tr, sensor_id="T-01", link_id="T-elgeseter")),

@@ -59,6 +59,36 @@ class TestFlatline:
         flagged = fl.filter("flatline").toPandas()
         assert set(flagged["sensor_id"]) == {"T-09"}
 
+    def test_flatline_oracle(self, world):
+        # std_city is the spread of every reading of the city's metric
+        # that day, not of the sensors' daily values.
+        pts = world.points.filter(F.col("metric").isin("air.no2", "air.pm25"))
+        got = quality.flatline_sensors(pts).select(
+            "sensor_id", "metric", F.col("date").cast("string").alias("date"), "n", "flatline",
+            F.round("std_sensor", 4).alias("std_sensor"),
+            F.round("std_city", 4).alias("std_city"),
+        )
+        assert_equivalent(
+            got,
+            f"""
+            WITH s AS (
+              SELECT sensor_id, city, metric, CAST(ts AS DATE) AS date,
+                     stddev_pop(value) AS std_sensor, count(*) AS n
+              FROM pts GROUP BY ALL
+            ), c AS (
+              SELECT city, metric, CAST(ts AS DATE) AS date,
+                     stddev_pop(value) AS std_city
+              FROM pts GROUP BY ALL
+            )
+            SELECT sensor_id, metric, CAST(date AS VARCHAR) AS date, n,
+                   n >= 12 AND std_sensor < {quality.FLATLINE_REL_STD} * std_city
+                     AS flatline,
+                   round(std_sensor, 4) AS std_sensor, round(std_city, 4) AS std_city
+            FROM s JOIN c USING (city, metric, date)
+            """,
+            pts=pts.select("sensor_id", "city", "metric", "ts", "value").toPandas(),
+        )
+
     def test_other_metrics_of_faulty_sensor_fine(self, world):
         fl = quality.flatline_sensors(world.points.filter("metric = 'air.co2'"))
         assert fl.filter("flatline").count() == 0

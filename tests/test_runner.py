@@ -1,8 +1,11 @@
 """runner.World: attribute access over the dict build_world returns,
-the world build_world stops at without the streaming ingest, and the
+the world build_world stops at without the streaming ingest, the
+removal of the temporary directory it makes itself, and the
 driver-memory rule ``get_spark`` launches the JVM with."""
+import atexit
 import copy
 import os
+import tempfile
 
 import pytest
 
@@ -40,6 +43,27 @@ class TestBuildWorld:
         assert w.uplinks.count() == w.n_landed
         assert not hasattr(w, "points") and not hasattr(w, "quarantined")
         assert not os.path.exists(tmp_path / "stream")
+
+
+class TestWorkDir:
+    @pytest.fixture
+    def registered(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(atexit, "register", lambda *a, **k: calls.append((a, k)))
+        return calls
+
+    def test_own_temp_dir_removed_at_exit(self, spark, registered):
+        w = build_world(spark, sf=TEST_SF, seed=SEED, run_streaming=False)
+        [((remove, path), kwargs)] = registered
+        assert path == w.work_dir and os.path.isdir(os.path.join(path, "landing"))
+        assert os.path.dirname(path) == tempfile.gettempdir()
+        assert kwargs == {"ignore_errors": True}
+        remove(path, **kwargs)  # what the interpreter runs at exit
+        assert not os.path.exists(path)
+
+    def test_given_work_dir_kept(self, spark, tmp_path, registered):
+        build_world(spark, sf=TEST_SF, seed=SEED, work_dir=str(tmp_path), run_streaming=False)
+        assert registered == []
 
 
 def _gib(mem: str) -> float:

@@ -13,7 +13,6 @@ from pyspark.sql import functions as F
 
 from repro.core import calibrate
 from repro.external import nilu
-from repro.iot import field
 from repro.runner import build_world, get_spark, print_table
 
 CO_LOCATED = {"trondheim": "T-00", "vejle": "V-00"}
@@ -32,9 +31,7 @@ def run(spark, *, sf: float = 0.05, seed: int = 0) -> dict:
     after = calibrate.accuracy(cal_pairs, pred="raw_cal", truth="ref").toPandas()
     colo = before.merge(after, on=["city", "field"], suffixes=("_raw", "_cal"))
 
-    net = calibrate.network_pairs_against_truth(
-        w.points, field.truth, w.sensors_pdf
-    ).join(
+    net = calibrate.network_pairs_against_truth(w.points, w.sensors_pdf).join(
         coefs.select("city", "field", "slope", "intercept"), ["city", "field"]
     ).withColumn("cal", F.col("slope") * F.col("raw") + F.col("intercept"))
     net = net.withColumn(

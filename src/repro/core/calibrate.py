@@ -19,10 +19,13 @@ Pipeline:
 """
 from __future__ import annotations
 
+import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.harmonize import bucketed, station_series
+from repro.iot import field
 
 #: Pollutants calibrated against the station.
 CAL_METRICS = ("co2", "no2", "pm10", "pm25")
@@ -119,28 +122,28 @@ def accuracy(
     )
 
 
-def network_pairs_against_truth(
-    points: DataFrame, truth_fn, sensors_pdf
-) -> DataFrame:
+def network_pairs_against_truth(points: DataFrame, sensors_pdf) -> DataFrame:
     """Hourly sensor means paired with the ground-truth field at each
     sensor's location — used to quantify the *lower certainty* of the
     network-wide calibration transfer (§2.4).
 
-    ``truth_fn(field, city, x_m, y_m, ts_array) -> values`` is sampled
-    on the driver per sensor (static registry, hourly buckets — small).
+    The truth is :func:`repro.iot.field.truth` at each row's registry
+    position (``sensors_pdf``) and bucket + 30 min, sampled on the driver
+    with one call per city (static registry, hourly buckets — small).
     Returns city, sensor_id, field, bucket, raw, truth.
     """
-    import pandas as pd
-
     hp = _sensor_hourly(points).toPandas()
-    reg = sensors_pdf.set_index("sensor_id")
-    truths = []
-    for (sid, fld), grp in hp.groupby(["sensor_id", "field"]):
-        srow = reg.loc[sid]
-        # Truth at bucket midpoint: the hourly mean of a smooth field is
-        # well-approximated by its value at +30 min.
-        mid = (grp["bucket"] + pd.Timedelta(minutes=30)).to_numpy()
-        vals = truth_fn(fld, srow["city"], srow["x_m"], srow["y_m"], mid)
-        truths.append(pd.Series(vals, index=grp.index))
-    hp["truth"] = pd.concat(truths).sort_index()
+    reg = sensors_pdf.set_index("sensor_id").loc[hp["sensor_id"]]
+    x, y = reg["x_m"].to_numpy(), reg["y_m"].to_numpy()
+    # Truth at bucket midpoint: the hourly mean of a smooth field is
+    # well-approximated by its value at +30 min.
+    mid = (hp["bucket"] + pd.Timedelta(minutes=30)).to_numpy()
+    fields = hp["field"].to_numpy()
+    truth = np.empty(len(hp))
+    for city, rows in reg.groupby("city").indices.items():
+        t = field.truth(city, x[rows], y[rows], mid[rows])
+        for fld in np.unique(fields[rows]):
+            on = fields[rows] == fld
+            truth[rows[on]] = t[fld][on]
+    hp["truth"] = truth
     return points.sparkSession.createDataFrame(hp)

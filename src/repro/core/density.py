@@ -61,7 +61,7 @@ def truth_grid_pdf(
             "x_c": xs,
             "y_c": ys,
             "ts": ts,
-            "truth": field.truth(metric, city, xs, ys, ts.to_numpy(), seed=seed),
+            "truth": field.truth(city, xs, ys, ts.to_numpy(), seed=seed)[metric],
         }
     )
 
@@ -124,7 +124,7 @@ def fleet_observations_pdf(
     # drawn in the same order, so the stream matches a per-hour loop.
     xs_t, ys_t = np.tile(xs, len(times)), np.tile(ys, len(times))
     ts = times.repeat(n_units)
-    truth = field.truth(metric, city, xs_t, ys_t, ts.to_numpy(), seed=seed)
+    truth = field.truth(city, xs_t, ys_t, ts.to_numpy(), seed=seed)[metric]
     noise = g.normal(0, noise_sd, (len(times), n_units))
     obs = gains * truth.reshape(len(times), n_units) + biases + noise
     return pd.DataFrame(

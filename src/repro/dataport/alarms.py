@@ -15,7 +15,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
-from repro.dataport.twins import STATUS_FAILED, STATUS_OK, status_for
+from repro.dataport.twins import STATUS_FAILED, STATUS_OK, missed_cycles, status_for
 
 #: Minutes between evaluation instants of the sweep: the base
 #: measurement interval.
@@ -77,10 +77,7 @@ def alarm_events(
         .filter(F.col("kind") == 1)
     )
     missed = F.coalesce(
-        F.floor(
-            (F.unix_micros("ts") - F.unix_micros("last_ts")) / 6e7 / F.col("last_interval")
-        ),
-        F.lit(0),
+        missed_cycles(F.col("ts"), F.col("last_ts"), F.col("last_interval")), F.lit(0)
     ).cast("long")
     status = swept.select(
         "sensor_id", "city", "ts", missed.alias("missed_cycles")

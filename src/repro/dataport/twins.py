@@ -35,6 +35,14 @@ def status_for(missed_cycles):
     )
 
 
+def missed_cycles(now, last_seen, interval_min):
+    """Column expression: whole declared intervals elapsed from
+    ``last_seen`` to ``now`` (timestamp columns; ``interval_min`` in
+    minutes), floor(elapsed / interval)."""
+    elapsed_us = F.unix_micros(now) - F.unix_micros(last_seen)
+    return F.floor(elapsed_us / (interval_min * 6e7))
+
+
 def sensor_twins(uplinks: DataFrame, at) -> DataFrame:
     """Sensor twin states at instant ``at`` (a timestamp).
 
@@ -50,9 +58,8 @@ def sensor_twins(uplinks: DataFrame, at) -> DataFrame:
         F.max_by("interval_min", "ts").alias("interval_min"),
         F.mode("best_gateway").alias("primary_gateway"),
     )
-    missed = F.floor(
-        (F.unix_timestamp(F.lit(at)) - F.unix_timestamp("last_seen"))
-        / (F.col("interval_min") * 60)
+    missed = missed_cycles(
+        F.lit(at), F.col("last_seen"), F.col("interval_min")
     ).alias("missed_cycles")
     return last.select(
         "sensor_id", "city", "last_seen", "battery", "interval_min",

@@ -202,20 +202,21 @@ def _downtown(x_m: np.ndarray, y_m: np.ndarray) -> np.ndarray:
 
 
 def truth(
-    metric: str,
     city: str,
     x_m: np.ndarray,
     y_m: np.ndarray,
     ts: np.ndarray,
     *,
     seed: int = 0,
-) -> np.ndarray:
-    """Ground-truth value of ``metric`` at local position(s) and time(s).
+) -> dict[str, np.ndarray]:
+    """Ground truth of every metric in :data:`ALL_METRICS` at local
+    position(s) and time(s), keyed by metric.
 
-    ``x_m``/``y_m``/``ts`` broadcast against each other. The time-only
-    terms are evaluated once per timestamp as passed and the spatial ones
-    once per position; the arithmetic below broadcasts them together.
-    Units: CO2 ppm, NO2/PM µg/m³, temperature °C, pressure hPa,
+    ``x_m``/``y_m``/``ts`` broadcast against each other, and every value
+    has the broadcast shape and is writable. Weather, traffic and the
+    boundary layer are evaluated once per timestamp as passed, road
+    proximity and downtown once per position, all shared by the seven
+    metrics. Units: CO2 ppm, NO2/PM µg/m³, temperature °C, pressure hPa,
     humidity %RH.
     """
     ts = np.asarray(ts, dtype="datetime64[s]")
@@ -230,46 +231,41 @@ def truth(
     bl = _boundary_layer_factor(ts)
     prox = _road_proximity(x_m, y_m, city)
     core = _downtown(x_m, y_m)
-
-    if metric == "co2":
-        # Boundary-layer accumulation dominates; traffic coupling is weak
-        # (§2.4: "traffic is not the only factor ... no apparent
-        # correlation"). Seasonal term: higher in winter (heating, no
-        # vegetation uptake).
-        doy = _day_of_year(ts)
-        season = 6.0 * np.cos(2 * np.pi * (doy - 20) / 365.25)
-        val = (
-            412.0
-            + season
-            + 30.0 * bl * dilution
-            + 6.0 * tr * prox
-            + 10.0 * core
-            + smooth_noise(th, s + 11, scale=4.0)
-        )
-        return np.clip(val, 380.0, None)
-    if metric == "no2":
-        # Strongly traffic-driven (contrast for E3's NO2 column).
-        val = (
-            9.0
-            + 55.0 * tr * prox * dilution
-            + 10.0 * core * dilution
-            + 6.0 * bl
-            + smooth_noise(th, s + 12, scale=3.0)
-        )
-        return np.clip(val, 0.5, None)
-    if metric in ("pm10", "pm25"):
-        scale = 1.0 if metric == "pm10" else 0.55
-        val = scale * (
-            11.0
-            + 16.0 * tr * prox * dilution
-            + 6.0 * core
-            + 4.0 * bl
-            + 0.05 * wx["humidity"]
-            + smooth_noise(th, s + (13 if metric == "pm10" else 14), scale=2.5)
-        )
-        return np.clip(val, 0.5, None)
-    if metric == "temperature":
-        return wx["temperature"] - 2.0 * (1.0 - core) * 0.3
-    if metric in ("pressure", "humidity"):
-        return np.broadcast_to(wx[metric], shape).copy()
-    raise ValueError(f"unknown metric {metric!r}; expected one of {ALL_METRICS}")
+    # CO2: boundary-layer accumulation dominates; traffic coupling is weak
+    # (§2.4: "traffic is not the only factor ... no apparent
+    # correlation"). Seasonal term: higher in winter (heating, no
+    # vegetation uptake).
+    season = 6.0 * np.cos(2 * np.pi * (_day_of_year(ts) - 20) / 365.25)
+    co2 = (
+        412.0
+        + season
+        + 30.0 * bl * dilution
+        + 6.0 * tr * prox
+        + 10.0 * core
+        + smooth_noise(th, s + 11, scale=4.0)
+    )
+    # NO2: strongly traffic-driven (contrast for E3's NO2 column).
+    no2 = (
+        9.0
+        + 55.0 * tr * prox * dilution
+        + 10.0 * core * dilution
+        + 6.0 * bl
+        + smooth_noise(th, s + 12, scale=3.0)
+    )
+    # PM2.5 is 0.55 of the PM10 level, with its own noise.
+    pm = (
+        11.0
+        + 16.0 * tr * prox * dilution
+        + 6.0 * core
+        + 4.0 * bl
+        + 0.05 * wx["humidity"]
+    )
+    return {
+        "co2": np.clip(co2, 380.0, None),
+        "no2": np.clip(no2, 0.5, None),
+        "pm10": np.clip(pm + smooth_noise(th, s + 13, scale=2.5), 0.5, None),
+        "pm25": np.clip(0.55 * (pm + smooth_noise(th, s + 14, scale=2.5)), 0.5, None),
+        "temperature": wx["temperature"] - 2.0 * (1.0 - core) * 0.3,
+        "pressure": np.broadcast_to(wx["pressure"], shape).copy(),
+        "humidity": np.broadcast_to(wx["humidity"], shape).copy(),
+    }

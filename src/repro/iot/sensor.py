@@ -23,8 +23,8 @@ freezes a metric's output.
 Only the battery recurrence is sequential, so it is the one scalar loop
 (:func:`_transmissions`): it yields the transmitted ticks and the
 battery level at each. Everything else is array arithmetic over those
-ticks — one ground-truth call per (city, metric) for all the city's
-nodes, then gain, drift, bias, noise, flatline and rounding per metric.
+ticks — one ground-truth call per city for all the city's nodes and
+metrics, then gain, drift, bias, noise, flatline and rounding per metric.
 """
 from __future__ import annotations
 
@@ -190,10 +190,7 @@ def simulate_readings_pdf(
         irr = field.solar_irradiance(city, grid.values, seed=seed)
         # One (node, tick) truth array per metric for the city's nodes.
         xy = nodes[["x_m", "y_m"]].to_numpy()
-        truths = {
-            m: field.truth(m, city, xy[:, :1], xy[:, 1:], grid.values, seed=seed)
-            for m in field.ALL_METRICS
-        }
+        truths = field.truth(city, xy[:, :1], xy[:, 1:], grid.values, seed=seed)
         for j, (_, srow) in enumerate(nodes.iterrows()):
             node_truth = {m: t[j] for m, t in truths.items()}
             parts.append(_simulate_node(srow, grid, irr, node_truth, faults, seed))

@@ -3,7 +3,7 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.dataport import alarms
+from repro.dataport import alarms, twins
 from repro.dataport.twins import MISS_FAIL, MISS_WARN
 from repro.iot import deployment as dep
 from repro.oracle import assert_equivalent
@@ -74,6 +74,36 @@ class TestDetectionLatency:
         inj = pd.DataFrame([{"sensor_id": "T-00", "start": H(200)}])
         lat = alarms.detection_latency(events, inj)
         assert lat["detected_at"].isna().all()
+
+
+class TestAgreesWithTwins:
+    @pytest.mark.parametrize("hour", [29, 45, 53])
+    def test_status_at_e6_probe(self, events, world, hour):
+        """The sweep and the twins share one missed-cycles rule. At each
+        E6 probe, a sensor's status from its last transition at or before
+        the probe (OK if none) is its ``sensor_twins`` status, and the
+        twin at that transition's instant reads its status and missed
+        cycles."""
+        at = H(hour)
+        last = (
+            events.filter(F.col("ts") <= F.lit(at))
+            .groupBy("sensor_id")
+            .agg(F.max_by(F.struct("ts", "status", "missed_cycles"), "ts").alias("e"))
+            .select("sensor_id", "e.*")
+            .toPandas()
+            .set_index("sensor_id")
+        )
+        want = dict(
+            twins.sensor_twins(world.uplinks, at).select("sensor_id", "status").collect()
+        )
+        assert len(want) == 14
+        swept = last["status"].reindex(list(want), fill_value=twins.STATUS_OK)
+        assert swept.to_dict() == want
+        for sid, e in last.iterrows():
+            t = twins.sensor_twins(world.uplinks, e["ts"]).filter(
+                F.col("sensor_id") == sid
+            ).first()
+            assert (t["status"], t["missed_cycles"]) == (e["status"], e["missed_cycles"])
 
 
 def alarm_sql(start, end, step_min: int = 5) -> str:

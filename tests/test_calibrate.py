@@ -23,6 +23,13 @@ def coefs(pairs):
     return calibrate.fit_linear(pairs).cache()
 
 
+@pytest.fixture(scope="module")
+def network_pairs(clean_world):
+    return calibrate.network_pairs_against_truth(
+        clean_world.points, clean_world.sensors_pdf
+    ).cache()
+
+
 class TestPairs:
     def test_only_co_located_sensors(self, pairs):
         ids = {r["sensor_id"] for r in pairs.select("sensor_id").distinct().collect()}
@@ -123,29 +130,36 @@ class TestApplyAndScore:
 
 
 class TestNetworkTransfer:
-    def test_network_pairs_against_truth(self, clean_world, coefs):
-        pairs = calibrate.network_pairs_against_truth(
-            clean_world.points, field.truth, clean_world.sensors_pdf
-        )
-        assert pairs.filter(F.col("truth").isNull()).count() == 0
+    def test_network_pairs_against_truth(self, network_pairs):
+        assert network_pairs.filter(F.col("truth").isNull()).count() == 0
         # Co-located sensor must be present alongside the rest.
-        assert pairs.select("sensor_id").distinct().count() == 14
+        assert network_pairs.select("sensor_id").distinct().count() == 14
+
+    def test_truth_row_for_row(self, clean_world, network_pairs):
+        # Reference: one field.truth call per sensor, at its registry
+        # position and its own buckets + 30 min.
+        got = network_pairs.toPandas()
+        reg = clean_world.sensors_pdf.set_index("sensor_id")
+        assert len(got) > 0
+        for sid, rows in got.groupby("sensor_id"):
+            s = reg.loc[sid]
+            mid = (rows["bucket"] + pd.Timedelta(minutes=30)).to_numpy()
+            t = field.truth(s["city"], s["x_m"], s["y_m"], mid)
+            want = [t[f][i] for i, f in enumerate(rows["field"])]
+            np.testing.assert_array_equal(rows["truth"].to_numpy(), want)
 
     def test_transfer_reduces_network_error_but_less_certain(
-        self, clean_world, nilu_df
+        self, clean_world, nilu_df, network_pairs
     ):
         """§2.4: network calibration via the co-located fit works 'but
         with lower certainty' — RMSE improves network-wide, yet stays
         worse than at the co-located unit itself."""
-        pairs = calibrate.network_pairs_against_truth(
-            clean_world.points, field.truth, clean_world.sensors_pdf
-        )
         coefs = calibrate.fit_linear(
             calibrate.co_location_pairs(
                 clean_world.points, nilu_df, co_located=CO_LOCATED
             )
         )
-        cal = pairs.join(
+        cal = network_pairs.join(
             coefs.select("city", "field", "slope", "intercept"),
             ["city", "field"],
         ).withColumn("cal", F.col("slope") * F.col("raw") + F.col("intercept"))

@@ -63,8 +63,8 @@ class TestVectorisedGenerators:
                 pd.DataFrame({
                     "scenario": "lowcost_5", "unit_id": np.arange(n), "x_m": xs, "y_m": ys,
                     "ts": t,
-                    "obs": gains * field.truth("no2", "trondheim", xs, ys,
-                                               np.full(n, np.datetime64(t, "s")))
+                    "obs": gains * field.truth("trondheim", xs, ys,
+                                               np.full(n, np.datetime64(t, "s")))["no2"]
                     + biases + g.normal(0, noise_s, n),
                 })
                 for t in self.TIMES
@@ -82,9 +82,9 @@ class TestVectorisedGenerators:
                 pd.DataFrame({
                     "cell_id": grid["cell_id"].to_numpy(),
                     "x_c": grid["x_c"].to_numpy(), "y_c": grid["y_c"].to_numpy(), "ts": t,
-                    "truth": field.truth("no2", "trondheim", grid["x_c"].to_numpy(),
+                    "truth": field.truth("trondheim", grid["x_c"].to_numpy(),
                                          grid["y_c"].to_numpy(),
-                                         np.full(len(grid), np.datetime64(t, "s"))),
+                                         np.full(len(grid), np.datetime64(t, "s")))["no2"],
                 })
                 for t in self.TIMES
             ],

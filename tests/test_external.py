@@ -8,6 +8,7 @@ from pyspark.sql import functions as F
 from repro.external import citygml, herecom, municipal, nilu, oco2, statistics
 from repro.iot import deployment as dep
 from repro.iot import field
+from repro.oracle import assert_equivalent
 
 
 class TestNilu:
@@ -26,8 +27,8 @@ class TestNilu:
         st = dep.station_pdf().set_index("station_id").loc["st-tr"]
         one = obs[(obs["station_id"] == "st-tr") & (obs["field"] == "no2")]
         truth = field.truth(
-            "no2", "trondheim", st["x_m"], st["y_m"], one["ts"].to_numpy(), seed=0
-        )
+            "trondheim", st["x_m"], st["y_m"], one["ts"].to_numpy(), seed=0
+        )["no2"]
         rmse = np.sqrt(((one["value"] - truth) ** 2).mean())
         assert rmse < 2 * nilu.REF_SIGMA["no2"]
 
@@ -180,6 +181,36 @@ class TestStatistics:
                 (totals["city"] == city) & (totals["sector"] == sector)
             ]["tco2e"].iloc[0]
             assert abs(v - want) / want < 1e-6
+
+    def test_downscale_oracle(self, spark):
+        """DuckDB over the inventory: per (city, sector) the grid's cells
+        sum to the annual total, one per grid cell, and every cell's
+        lo/hi is its tco2e × (1 ∓ the sector's rel_uncertainty)."""
+        grid = statistics.downscaled_grid(spark).cache()
+        totals = statistics.annual_totals_pdf()
+        assert_equivalent(
+            grid.groupBy("city", "sector").agg(
+                F.round(F.sum("tco2e"), 3).alias("tco2e"),
+                F.count(F.lit(1)).alias("cells"),
+            ),
+            """
+            SELECT t.city, t.sector, round(t.tco2e, 3) AS tco2e,
+                   (SELECT count(*) FROM cells c WHERE c.city = t.city) AS cells
+            FROM totals t
+            """,
+            totals=totals, cells=citygml.grid_pdf(),
+        )
+        assert_equivalent(
+            grid.select("cell_id", "city", "sector", "tco2e_lo", "tco2e_hi"),
+            """
+            SELECT g.cell_id, g.city, g.sector,
+                   g.tco2e * (1 - t.rel_uncertainty) AS tco2e_lo,
+                   g.tco2e * (1 + t.rel_uncertainty) AS tco2e_hi
+            FROM grid g JOIN totals t USING (city, sector)
+            """,
+            grid=grid, totals=totals,
+        )
+        grid.unpersist()
 
     def test_uncertainty_bounds_ordered(self, spark):
         grid = statistics.downscaled_grid(spark)

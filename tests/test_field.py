@@ -100,34 +100,30 @@ class TestSolar:
 
 
 class TestTruth:
-    def test_unknown_metric_raises(self):
-        with pytest.raises(ValueError):
-            field.truth("o3", "trondheim", 0.0, 0.0, TS_DAY[:1])
-
     @pytest.mark.parametrize("metric", field.POLLUTANTS)
     def test_pollutants_positive(self, metric):
-        v = field.truth(metric, "trondheim", 0.0, 0.0, TS_DAY)
+        v = field.truth("trondheim", 0.0, 0.0, TS_DAY)[metric]
         assert (v > 0).all()
 
     def test_co2_floor(self):
-        v = field.truth("co2", "vejle", 2000.0, 2000.0, TS_DAY)
+        v = field.truth("vejle", 2000.0, 2000.0, TS_DAY)["co2"]
         assert (v >= 380).all()
 
     def test_deterministic(self):
-        a = field.truth("no2", "trondheim", 100.0, -50.0, TS_DAY, seed=0)
-        b = field.truth("no2", "trondheim", 100.0, -50.0, TS_DAY, seed=0)
+        a = field.truth("trondheim", 100.0, -50.0, TS_DAY, seed=0)["no2"]
+        b = field.truth("trondheim", 100.0, -50.0, TS_DAY, seed=0)["no2"]
         np.testing.assert_array_equal(a, b)
 
     def test_no2_higher_near_road(self):
         links = dep.road_links_pdf()
         lk = links[links["city"] == "trondheim"].iloc[0]
-        near = field.truth("no2", "trondheim", lk["x_m"], lk["y_m"], TS_DAY).mean()
-        far = field.truth("no2", "trondheim", 2400.0, -2400.0, TS_DAY).mean()
+        near = field.truth("trondheim", lk["x_m"], lk["y_m"], TS_DAY)["no2"].mean()
+        far = field.truth("trondheim", 2400.0, -2400.0, TS_DAY)["no2"].mean()
         assert near > 1.5 * far
 
     def test_co2_nocturnal_accumulation(self):
         # Boundary-layer physics: pre-dawn CO2 exceeds mid-afternoon.
-        v = field.truth("co2", "trondheim", 0.0, 0.0, TS_DAY)
+        v = field.truth("trondheim", 0.0, 0.0, TS_DAY)["co2"]
         hours = np.arange(288) / 12.0
         predawn = v[(hours >= 3) & (hours <= 6)].mean()
         afternoon = v[(hours >= 14) & (hours <= 17)].mean()
@@ -139,7 +135,7 @@ class TestTruth:
         week = pd.date_range("2017-06-05", periods=288 * 7, freq="5min").values
         links = dep.road_links_pdf()
         lk = links[links["link_id"] == "T-elgeseter"].iloc[0]
-        co2 = field.truth("co2", "trondheim", lk["x_m"], lk["y_m"], week)
+        co2 = field.truth("trondheim", lk["x_m"], lk["y_m"], week)["co2"]
         tr = field.traffic_intensity(week)
         r_co2 = np.corrcoef(co2, tr)[0, 1]
         assert abs(r_co2) < 0.35
@@ -149,43 +145,48 @@ class TestTruth:
         week = pd.date_range("2017-06-05", periods=288 * 7, freq="5min").values
         links = dep.road_links_pdf()
         lk = links[links["link_id"] == "T-elgeseter"].iloc[0]
-        no2 = field.truth("no2", "trondheim", lk["x_m"], lk["y_m"], week)
+        no2 = field.truth("trondheim", lk["x_m"], lk["y_m"], week)["no2"]
         tr = field.traffic_intensity(week)
         assert np.corrcoef(no2, tr)[0, 1] > 0.5
 
     def test_downtown_enhancement(self):
-        down = field.truth("co2", "trondheim", 0.0, 0.0, TS_DAY).mean()
-        edge = field.truth("co2", "trondheim", 2400.0, 2400.0, TS_DAY).mean()
+        down = field.truth("trondheim", 0.0, 0.0, TS_DAY)["co2"].mean()
+        edge = field.truth("trondheim", 2400.0, 2400.0, TS_DAY)["co2"].mean()
         assert down > edge
 
     def test_pm25_below_pm10(self):
-        pm10 = field.truth("pm10", "vejle", 0.0, 0.0, TS_DAY)
-        pm25 = field.truth("pm25", "vejle", 0.0, 0.0, TS_DAY)
-        assert pm25.mean() < pm10.mean()
+        t = field.truth("vejle", 0.0, 0.0, TS_DAY)
+        assert t["pm25"].mean() < t["pm10"].mean()
 
     def test_weather_metrics_match_weather_pdf(self):
         w = field.weather_pdf("vejle", TS_DAY)
-        t = field.truth("pressure", "vejle", 0.0, 0.0, TS_DAY)
+        t = field.truth("vejle", 0.0, 0.0, TS_DAY)["pressure"]
         np.testing.assert_allclose(t, w["pressure"].to_numpy())
 
     def test_broadcasting_positions(self):
         xs = np.array([0.0, 1000.0, -1000.0])
-        v = field.truth("no2", "trondheim", xs, xs, TS_DAY[0])
+        v = field.truth("trondheim", xs, xs, TS_DAY[0])["no2"]
         assert v.shape == (3,)
 
     @pytest.mark.parametrize("metric", field.ALL_METRICS)
     def test_broadcast_contract(self, metric):
-        # (k, 1) positions × (T,) times is a (k, T) writable array whose
-        # row j is node j's own series; scalar × vector and vector ×
-        # scalar calls keep the broadcast shape too.
+        # Every call returns exactly ALL_METRICS. (k, 1) positions × (T,)
+        # times is a (k, T) writable array whose row j is node j's own
+        # series; scalar × vector and vector × scalar calls keep the
+        # broadcast shape too.
         xy = np.array([[0.0, 0.0], [1000.0, -500.0], [-2000.0, 1500.0]])
         grid = TS_DAY[:48]
-        kt = field.truth(metric, "trondheim", xy[:, :1], xy[:, 1:], grid)
-        per_time = field.truth(metric, "trondheim", xy[:, 0], xy[:, 1], grid[0])
+        calls = [
+            field.truth("trondheim", xy[:, :1], xy[:, 1:], grid),
+            field.truth("trondheim", xy[:, 0], xy[:, 1], grid[0]),
+            *(field.truth("trondheim", x, y, grid) for x, y in xy),
+        ]
+        for t in calls:
+            assert tuple(t) == field.ALL_METRICS
+        kt, per_time, *series = (t[metric] for t in calls)
         for v, shape in ((kt, (3, 48)), (per_time, (3,))):
             assert v.shape == shape and v.flags.writeable
-        for j, (x, y) in enumerate(xy):
-            series = field.truth(metric, "trondheim", x, y, grid)
-            assert series.shape == (48,) and series.flags.writeable
-            np.testing.assert_array_equal(kt[j], series)
-            assert per_time[j] == series[0]
+        for j, one in enumerate(series):
+            assert one.shape == (48,) and one.flags.writeable
+            np.testing.assert_array_equal(kt[j], one)
+            assert per_time[j] == one[0]

@@ -101,11 +101,11 @@ class TestErrorModel:
     def test_measured_tracks_truth(self, readings):
         one = readings[readings["sensor_id"] == "T-00"]
         truth = field.truth(
-            "co2", "trondheim",
+            "trondheim",
             dep.sensors_pdf().set_index("sensor_id").loc["T-00", "x_m"],
             dep.sensors_pdf().set_index("sensor_id").loc["T-00", "y_m"],
             one["ts"].to_numpy(), seed=0,
-        )
+        )["co2"]
         r = np.corrcoef(one["co2"], truth)[0, 1]
         assert r > 0.9  # gain/bias/noise, but trend preserved
 
@@ -188,8 +188,7 @@ def _reference_readings(sf: float, seed: int, faults: list) -> pd.DataFrame:
     for _, s in dep.sensors_pdf().iterrows():
         sid, city = s["sensor_id"], s["city"]
         irr = field.solar_irradiance(city, grid.values, seed=seed)
-        truth = {m: field.truth(m, city, s["x_m"], s["y_m"], grid.values, seed=seed)
-                 for m in field.ALL_METRICS}
+        truth = field.truth(city, s["x_m"], s["y_m"], grid.values, seed=seed)
         calib = sensor.node_calibration(sid, seed=seed)
         g = np.random.default_rng(sensor.stable_seed("noise", sid, seed))
         noise = {m: g.normal(0.0, sensor.ERROR_MODEL[m][2], len(grid))
@@ -264,3 +263,18 @@ class TestMatchesPerTickReference:
         pd.testing.assert_frame_equal(
             got, _reference_readings(self.SF, 0, self.FAULTS), check_exact=True
         )
+
+
+def test_weather_evaluated_once_per_city_and_call(monkeypatch):
+    # Per city: one field.truth call for every node and metric, and one
+    # solar_irradiance call; each evaluates the city's weather once.
+    calls = []
+    weather = field._weather
+
+    def counted(city, ts, *, seed):
+        calls.append(city)
+        return weather(city, ts, seed=seed)
+
+    monkeypatch.setattr(field, "_weather", counted)
+    sensor.simulate_readings_pdf(sf=0.005, seed=0)
+    assert sorted(calls) == ["trondheim"] * 2 + ["vejle"] * 2

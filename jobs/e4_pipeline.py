@@ -3,7 +3,9 @@
 12+2 sensors at a 5-minute interval through LoRaWAN → TTN → MQTT →
 Structured Streaming → TSDB. Reports per-city packet accounting (sent /
 delivered / lost / duplication), ingest acceptance/quarantine, and
-wall-clock ingest throughput. Run: spark-submit jobs/e4_pipeline.py [sf].
+where the time goes: landing (receptions → TTN dedup → hourly MQTT
+files) beside the streaming ingest's wall-clock time and throughput.
+Run: spark-submit jobs/e4_pipeline.py [sf].
 """
 import sys
 import time
@@ -40,6 +42,7 @@ def run(spark, *, sf: float = 0.05, seed: int = 0) -> dict:
                 "points_accepted": n_pts,
                 "points_quarantined": n_quar,
                 "quarantine_rate": round(n_quar / (n_pts + n_quar), 4),
+                "land_s": round(w.land_s, 1),
                 "ingest_wall_s": round(elapsed, 1),
                 "points_per_s": int((n_pts + n_quar) / elapsed),
             }

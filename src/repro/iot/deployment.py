@@ -75,6 +75,15 @@ def _to_latlon(x: np.ndarray, y: np.ndarray, city: str):
     return clat + y / _M_PER_DEG_LAT, clon + x / _m_per_deg_lon(clat)
 
 
+def _registry(rows: list[dict], columns: list[str]) -> pd.DataFrame:
+    """A registry frame of ``rows`` placed by ``x_m``/``y_m`` in their
+    city, with ``lat``/``lon`` added, in ``columns`` order."""
+    for r in rows:
+        lat, lon = _to_latlon(np.array(r["x_m"]), np.array(r["y_m"]), r["city"])
+        r["lat"], r["lon"] = float(lat), float(lon)
+    return pd.DataFrame(rows, columns=columns)
+
+
 def sensors_pdf(
     *,
     n_trondheim: int | None = None,
@@ -110,76 +119,30 @@ def sensors_pdf(
             else:
                 x = g.uniform(-2500, 2500)
                 y = g.uniform(-2500, 2500)
-            lat, lon = _to_latlon(np.array(x), np.array(y), city)
-            rows.append(
-                {
-                    "sensor_id": f"{city[0].upper()}-{i:02d}",
-                    "city": city,
-                    "lat": float(lat),
-                    "lon": float(lon),
-                    "x_m": float(x),
-                    "y_m": float(y),
-                    "co_located": i == 0,
-                }
-            )
-    return pd.DataFrame(rows)
+            rows.append({"sensor_id": f"{city[0].upper()}-{i:02d}", "city": city,
+                         "x_m": float(x), "y_m": float(y), "co_located": i == 0})
+    return _registry(rows, ["sensor_id", "city", "lat", "lon", "x_m", "y_m", "co_located"])
 
 
 def gateways_pdf() -> pd.DataFrame:
     """LoRaWAN gateway registry (gateway_id, city, lat, lon, x_m, y_m)."""
-    rows = []
-    for city, offsets in _GATEWAY_OFFSETS.items():
-        for i, (x, y) in enumerate(offsets):
-            lat, lon = _to_latlon(np.array(x), np.array(y), city)
-            rows.append(
-                {
-                    "gateway_id": f"gw-{city[:2]}-{i}",
-                    "city": city,
-                    "lat": float(lat),
-                    "lon": float(lon),
-                    "x_m": float(x),
-                    "y_m": float(y),
-                }
-            )
-    return pd.DataFrame(rows)
+    rows = [{"gateway_id": f"gw-{city[:2]}-{i}", "city": city, "x_m": x, "y_m": y}
+            for city, offsets in _GATEWAY_OFFSETS.items() for i, (x, y) in enumerate(offsets)]
+    return _registry(rows, ["gateway_id", "city", "lat", "lon", "x_m", "y_m"])
 
 
 def road_links_pdf() -> pd.DataFrame:
     """Road link registry (link_id, city, x_m, y_m, lat, lon, capacity)."""
-    rows = []
-    for city, links in _ROAD_LINKS.items():
-        for link_id, x, y, cap in links:
-            lat, lon = _to_latlon(np.array(x), np.array(y), city)
-            rows.append(
-                {
-                    "link_id": link_id,
-                    "city": city,
-                    "x_m": x,
-                    "y_m": y,
-                    "lat": float(lat),
-                    "lon": float(lon),
-                    "capacity": cap,
-                }
-            )
-    return pd.DataFrame(rows)
+    rows = [{"link_id": link_id, "city": city, "x_m": x, "y_m": y, "capacity": cap}
+            for city, links in _ROAD_LINKS.items() for link_id, x, y, cap in links]
+    return _registry(rows, ["link_id", "city", "x_m", "y_m", "lat", "lon", "capacity"])
 
 
 def station_pdf() -> pd.DataFrame:
     """Official air-quality reference station per city (one each, §2.4)."""
-    rows = []
-    for city, (x, y) in _STATION_OFFSET.items():
-        lat, lon = _to_latlon(np.array(x), np.array(y), city)
-        rows.append(
-            {
-                "station_id": f"st-{city[:2]}",
-                "city": city,
-                "lat": float(lat),
-                "lon": float(lon),
-                "x_m": x,
-                "y_m": y,
-            }
-        )
-    return pd.DataFrame(rows)
+    rows = [{"station_id": f"st-{city[:2]}", "city": city, "x_m": x, "y_m": y}
+            for city, (x, y) in _STATION_OFFSET.items()]
+    return _registry(rows, ["station_id", "city", "lat", "lon", "x_m", "y_m"])
 
 
 def sensors(spark: SparkSession, **kw) -> DataFrame:

@@ -21,89 +21,118 @@ Message envelope (TTN uplink format, trimmed):
                         "pressure": 1013.2, "humidity": 81.0,
                         "battery": 89.9, "interval_min": 5.0}}
 
-Spark serialises the envelope (:func:`land_messages`) and reads it back
-with :data:`MESSAGE_SCHEMA`; :func:`repro.ingest.etl.parse_uplinks` is
-the one parse of it, for batch and streaming alike.
+The driver serialises the envelope with Arrow compute kernels
+(:func:`land_messages`), byte for byte as Spark's ``to_json`` would, and
+Spark reads it back with :data:`MESSAGE_SCHEMA`;
+:func:`repro.ingest.etl.parse_uplinks` is the one parse of it, for batch
+and streaming alike.
 """
 from __future__ import annotations
 
 import os
+from itertools import groupby
 
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
-from pyspark.sql.types import (
-    ArrayType, DoubleType, IntegerType, StringType, StructField, StructType,
-)
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 
 from repro.lorawan.network import PAYLOAD_COLS
 
 #: Spark datetime pattern of ``metadata.time`` (ISO 8601, UTC).
 TIME_FORMAT = "yyyy-MM-dd'T'HH:mm:ss'Z'"
 
-#: Spark schema of a landed MQTT message (for the streaming reader).
-MESSAGE_SCHEMA = StructType(
-    [
-        StructField("app_id", StringType()),
-        StructField("dev_id", StringType()),
-        StructField("counter", IntegerType()),
-        StructField("city", StringType()),
-        StructField(
-            "metadata",
-            StructType(
-                [
-                    StructField("time", StringType()),
-                    StructField(
-                        "gateways",
-                        ArrayType(
-                            StructType(
-                                [
-                                    StructField("gtw_id", StringType()),
-                                    StructField("rssi", DoubleType()),
-                                ]
-                            )
-                        ),
-                    ),
-                ]
-            ),
-        ),
-        StructField(
-            "payload_fields",
-            StructType([StructField(c, DoubleType()) for c in PAYLOAD_COLS]),
-        ),
-    ]
+#: Spark schema (DDL) of a landed MQTT message, for the readers.
+MESSAGE_SCHEMA = (
+    "app_id STRING, dev_id STRING, counter INT, city STRING, metadata STRUCT<"
+    "time: STRING, gateways: ARRAY<STRUCT<gtw_id: STRING, rssi: DOUBLE>>>, "
+    f"payload_fields STRUCT<{', '.join(f'{c}: DOUBLE' for c in PAYLOAD_COLS)}>"
 )
 
 
-def land_messages(uplinks: DataFrame, out_dir: str) -> int:
+def _per_value(text, col: pa.Array) -> pa.Array:
+    """``text(col)``, computed once per distinct value of ``col``."""
+    d = pc.dictionary_encode(col, null_encoding="encode")
+    return text(d.dictionary).take(d.indices)
+
+
+def json_number(col: pa.Array, name: str) -> pa.Array:
+    """JSON text of a numeric column as a double, as Spark's ``to_json``
+    writes it (Java ``Double.toString``).
+
+    Arrow's shortest round-trip text equals Java's, once ``".0"`` is
+    appended to integral values, only for zero and finite
+    ``1e-3 <= |x| < 1e7``; Java switches to ``1.0E-4`` / ``1.0E7``
+    outside it. Any other value, or a null, raises ``ValueError`` naming
+    the column. The simulator's values all lie inside.
+    """
+    def text(values: pa.Array) -> pa.Array:
+        x = pc.cast(values, pa.float64())
+        a = pc.abs(x)
+        inside = pc.or_(pc.equal(a, 0), pc.and_(pc.greater_equal(a, 1e-3), pc.less(a, 1e7)))
+        if not pc.all(inside, skip_nulls=False, min_count=0).as_py():
+            raise ValueError(f"{name}: only 0 and 1e-3 <= |x| < 1e7 print as in Spark")
+        s = pc.cast(x, pa.string())
+        return pc.if_else(pc.match_substring(s, "."), s, pc.binary_join_element_wise(s, ".0", ""))
+    return _per_value(text, col)
+
+
+def _quoted(col: pa.Array) -> pa.Array:
+    return _per_value(
+        lambda v: pc.binary_join_element_wise('"', pc.cast(v, pa.string()), '"', ""), col)
+
+
+def _object(fields: dict) -> list:
+    """The parts of one JSON object per row, to be joined row-wise. A
+    field's text is an array, a literal or an object's parts. Adjacent
+    literals are merged: every part costs the join a pass over the rows."""
+    flat = []
+    for i, (key, text) in enumerate(fields.items()):
+        flat += [f'{"," if i else "{"}"{key}":', *(text if isinstance(text, list) else [text])]
+    return [p for literal, run in groupby([*flat, "}"], lambda p: isinstance(p, str))
+            for p in (["".join(run)] if literal else run)]
+
+
+def land_messages(uplinks: pa.Table, out_dir: str) -> int:
     """Write TTN-deduplicated uplinks as hourly JSON-lines files.
 
     ``uplinks`` is the output of :func:`repro.lorawan.network.ttn_dedup`.
-    Spark serialises each message with ``to_json``; the driver only
-    sorts the lines and writes them. Returns the number of messages
-    written. Files are named ``msgs-YYYYMMDDHH.jsonl`` and lines are in
-    (time, sensor) order, so arrival order matches event time, as a
-    bridge would produce.
+    Every line is joined at once from column texts, each distinct value
+    formatted once, with no Python object per message; each hour's lines
+    are written as one buffer. Returns the number of messages written.
+    Files are named ``msgs-YYYYMMDDHH.jsonl`` and lines are in (time,
+    sensor) order, so arrival order matches event time, as a bridge
+    would produce. Device, city and gateway ids are written as they are,
+    unescaped.
     """
-    message = F.struct(
-        F.lit("ctt").alias("app_id"),
-        F.col("sensor_id").alias("dev_id"),
-        F.col("f_cnt").alias("counter"),
-        F.col("city"),
-        F.struct(
-            F.date_format("ts", TIME_FORMAT).alias("time"),
-            F.col("gateways"),
-        ).alias("metadata"),
-        F.struct(*[F.col(c).cast("double").alias(c) for c in PAYLOAD_COLS]).alias(
-            "payload_fields"
-        ),
-    )
-    pdf = uplinks.select(
-        "ts", "sensor_id",
-        F.date_format("ts", "yyyyMMddHH").alias("hour"),
-        F.to_json(message).alias("line"),
-    ).toPandas().sort_values(["ts", "sensor_id"])
+    table = uplinks.sort_by([("ts", "ascending"), ("sensor_id", "ascending")]).combine_chunks()
+    t = {name: table[name].chunk(0) for name in table.column_names}  # one chunk each
+    ts = pc.cast(t["ts"], pa.timestamp("s"))
+    gw = pc.list_flatten(t["gateways"])
+    gw_text = pc.binary_join_element_wise(*_object({
+        "gtw_id": _quoted(gw.field("gtw_id")),
+        "rssi": json_number(gw.field("rssi"), "rssi"),
+    }), "")
+    gw_lists = pa.ListArray.from_arrays(t["gateways"].offsets, gw_text)
+    lines = pc.binary_join_element_wise(*_object({
+        "app_id": '"ctt"',
+        "dev_id": _quoted(t["sensor_id"]),
+        "counter": pc.cast(t["f_cnt"], pa.string()),
+        "city": _quoted(t["city"]),
+        "metadata": _object({
+            "time": _per_value(lambda v: _quoted(pc.strftime(v, "%Y-%m-%dT%H:%M:%SZ")), ts),
+            "gateways": ["[", pc.binary_join(gw_lists, ","), "]"],
+        }),
+        "payload_fields": _object({c: json_number(t[c], c) for c in PAYLOAD_COLS}),
+    }), "\n", "")
+    # Lines are in time order, so each hour is one contiguous run of the
+    # lines' data buffer.
+    hour = ts.to_numpy().astype("datetime64[h]").astype(np.int64)
+    cut = np.append(np.flatnonzero(np.diff(hour, prepend=hour[:1] - 1)), len(hour))
+    _, offsets, data = lines.buffers()
+    offsets = np.frombuffer(offsets, np.int32)[lines.offset:]
     os.makedirs(out_dir, exist_ok=True)
-    for hour, lines in pdf.groupby("hour", sort=True)["line"]:
-        with open(os.path.join(out_dir, f"msgs-{hour}.jsonl"), "w") as f:
-            f.writelines(line + "\n" for line in lines)
-    return len(pdf)
+    for name, a, b in zip(pc.strftime(ts.take(cut[:-1]), "%Y%m%d%H").to_pylist(),
+                          cut[:-1], cut[1:]):
+        with open(os.path.join(out_dir, f"msgs-{name}.jsonl"), "wb") as f:
+            f.write(data[offsets[a]:offsets[b]])
+    return len(ts)

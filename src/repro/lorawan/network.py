@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
+import pyarrow as pa
 
 from repro.iot import deployment
 from repro.iot.faults import GatewayOutage
@@ -43,65 +42,51 @@ def receptions_pdf(
     Columns = reading columns + gateway_id + rssi. Packets heard by no
     gateway are absent (lost). Deterministic in ``seed``.
     """
-    outages = outages or []
-    pos = deployment.sensors_pdf().set_index("sensor_id")[["x_m", "y_m", "city"]]
+    pos = deployment.sensors_pdf().set_index("sensor_id")
+    xy = pos.loc[readings["sensor_id"], ["x_m", "y_m"]].to_numpy()
+    city, ts = readings["city"].to_numpy(), readings["ts"].to_numpy().astype("datetime64[s]")
     parts = []
-    for city, city_gw in deployment.gateways_pdf().groupby("city"):
-        city_rd = readings[readings["city"] == city]
-        if city_rd.empty:
-            continue
-        sx = pos.loc[city_rd["sensor_id"], "x_m"].to_numpy()
-        sy = pos.loc[city_rd["sensor_id"], "y_m"].to_numpy()
-        ts = city_rd["ts"].to_numpy().astype("datetime64[s]")
-        for _, gw in city_gw.iterrows():
-            d = np.sqrt((sx - gw["x_m"]) ** 2 + (sy - gw["y_m"]) ** 2)
-            g = np.random.default_rng(
-                stable_seed("radio", city, gw["gateway_id"], seed)
-            )
-            ok, rssi = radio.reception_mask(d, g)
-            for o in outages:
-                if o.gateway_id == gw["gateway_id"]:
-                    in_window = (ts >= np.datetime64(o.start, "s")) & (
-                        ts < np.datetime64(o.end, "s")
-                    )
-                    ok = ok & ~in_window
-            got = city_rd.loc[ok].copy()
-            got["gateway_id"] = gw["gateway_id"]
-            got["rssi"] = rssi[ok]
-            parts.append(got)
-    if not parts:
-        return readings.iloc[0:0].assign(gateway_id=pd.Series(dtype="object"),
-                                         rssi=pd.Series(dtype="float64"))
+    for _, gw in deployment.gateways_pdf().iterrows():
+        in_city = np.flatnonzero(city == gw["city"])
+        d = np.sqrt((xy[in_city, 0] - gw["x_m"]) ** 2 + (xy[in_city, 1] - gw["y_m"]) ** 2)
+        g = np.random.default_rng(stable_seed("radio", gw["city"], gw["gateway_id"], seed))
+        ok, rssi = radio.reception_mask(d, g)
+        t = ts[in_city]
+        for o in outages or []:
+            if o.gateway_id == gw["gateway_id"]:
+                ok &= (t < np.datetime64(o.start, "s")) | (t >= np.datetime64(o.end, "s"))
+        parts.append(readings.iloc[in_city[ok]].assign(gateway_id=gw["gateway_id"], rssi=rssi[ok]))
     out = pd.concat(parts, ignore_index=True)
     return out.sort_values(["ts", "sensor_id", "gateway_id"]).reset_index(drop=True)
 
 
-def ttn_dedup(receptions_df: DataFrame) -> DataFrame:
-    """TTN-backend deduplication as a Spark transformation.
+def ttn_dedup(receptions: pd.DataFrame) -> pa.Table:
+    """TTN-backend deduplication, vectorised on the driver.
 
     Collapses per-gateway receptions of the same uplink — keyed by
-    (sensor_id, f_cnt) — into one message in one aggregate: the payload
-    (every reading column) of the best-RSSI reception, ``n_gateways``,
-    and ``gateways`` (array of structs gtw_id/rssi, strongest first).
-    Equal RSSIs are ordered by gateway id, for the payload and the list
-    alike.
+    (sensor_id, f_cnt) — into one message: the payload (every reading
+    column) of the best-RSSI reception, ``n_gateways``, and ``gateways``
+    (list of structs gtw_id/rssi, strongest first). Equal RSSIs are
+    ordered by gateway id, for the payload and the list alike. One
+    ``lexsort`` over integer codes puts each uplink's receptions in a run,
+    best first; a run's first row is the payload and its bounds are the
+    gateway list's offsets. Rows come in (sensor_id, f_cnt) order.
     """
-    rank = F.struct((-F.col("rssi")).alias("neg_rssi"), F.col("gateway_id"))
-    payload = [c for c in receptions_df.columns
-               if c not in ("sensor_id", "f_cnt", "gateway_id", "rssi")]
-    heard = F.struct(
-        rank.alias("k"), F.col("gateway_id").alias("gtw_id"), F.col("rssi")
-    )
+    f_cnt = receptions["f_cnt"].to_numpy()
+    sensor = pd.factorize(receptions["sensor_id"], sort=True)[0]
+    uplink = sensor * (f_cnt.max(initial=0) + 1) + f_cnt  # (sensor_id, f_cnt); FCnt is unsigned
+    gw_code, gw_ids = pd.factorize(receptions["gateway_id"], sort=True)
+    rssi = receptions["rssi"].to_numpy()
+    order = np.lexsort((gw_code, -rssi, uplink))
+    offsets = np.append(np.flatnonzero(np.diff(uplink[order], prepend=-1)), len(order))
+    payload = receptions.columns.drop(["sensor_id", "f_cnt", "gateway_id", "rssi"])
+    best = receptions.iloc[order[offsets[:-1]]][["sensor_id", "f_cnt", *payload]]
+    heard = pa.StructArray.from_arrays(
+        [pa.array(gw_ids).take(gw_code[order]), rssi[order]], names=["gtw_id", "rssi"])
     return (
-        receptions_df.groupBy("sensor_id", "f_cnt")
-        .agg(
-            F.min_by(F.struct(*payload), rank).alias("best"),
-            F.count(F.lit(1)).alias("n_gateways"),
-            F.transform(
-                F.sort_array(F.collect_list(heard)), lambda g: g.dropFields("k")
-            ).alias("gateways"),
-        )
-        .select("sensor_id", "f_cnt", "best.*", "n_gateways", "gateways")
+        pa.Table.from_pandas(best, preserve_index=False)
+        .append_column("n_gateways", pa.array(np.diff(offsets)))
+        .append_column("gateways", pa.ListArray.from_arrays(offsets.astype(np.int32), heard))
     )
 
 

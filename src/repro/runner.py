@@ -14,6 +14,7 @@ import atexit
 import os
 import shutil
 import tempfile
+import time
 
 import pandas as pd
 from pyspark.sql import SparkSession
@@ -104,8 +105,10 @@ def build_world(
 ) -> World:
     """Simulate + transport + land + ingest one deployment at ``sf``.
 
-    Returns a :class:`World` with: readings_pdf, receptions_pdf,
-    fault/outage lists, landing_dir, n_landed and uplinks (DataFrame).
+    The TTN dedup and the MQTT landing run on the driver, with no Spark
+    job. Returns a :class:`World` with: readings_pdf, receptions_pdf,
+    fault/outage lists, landing_dir, n_landed, land_s (seconds from
+    receptions to landed files) and uplinks (DataFrame).
     ``run_streaming`` runs the Structured Streaming ingest into
     tsdb_root and quarantine_dir (also returned), and adds points
     (DataFrame, :data:`repro.tsdb.store.POINT_COLUMNS`) and quarantined
@@ -123,9 +126,10 @@ def build_world(
         flist, outages = [], []
     readings = sensor.simulate_readings_pdf(sf=sf, seed=seed, faults=flist)
     receptions = network.receptions_pdf(readings, outages=outages, seed=seed)
-    dedup = network.ttn_dedup(spark.createDataFrame(receptions))
     landing = os.path.join(work_dir, "landing")
-    n_landed = mqtt.land_messages(dedup, landing)
+    t0 = time.perf_counter()
+    n_landed = mqtt.land_messages(network.ttn_dedup(receptions), landing)
+    land_s = time.perf_counter() - t0
     w = World(
         sf=sf,
         seed=seed,
@@ -137,6 +141,7 @@ def build_world(
         receptions_pdf=receptions,
         landing_dir=landing,
         n_landed=n_landed,
+        land_s=land_s,
     )
     w["uplinks"] = etl.uplinks_batch(spark, landing)
     if run_streaming:

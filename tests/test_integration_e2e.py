@@ -5,6 +5,7 @@ TSDB → dashboards/analyses, with completeness accounting at each hop.
 """
 import importlib.util
 import pathlib
+import sys
 
 import pandas as pd
 from pyspark.sql import functions as F
@@ -90,6 +91,14 @@ class TestAnalysesOnStreamedData:
         assert heard.count() == 0
 
 
+def load_job(stem: str):
+    path = pathlib.Path(__file__).resolve().parents[1] / "jobs" / f"{stem}.py"
+    spec = importlib.util.spec_from_file_location(f"jobs.{stem}", path)
+    job = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(job)
+    return job
+
+
 class TestSparkSubmitJobSmoke:
     def test_jobs_importable(self):
         """Every job imports, so one that names a removed function
@@ -98,18 +107,13 @@ class TestSparkSubmitJobSmoke:
         found = sorted(jobs_dir.glob("*.py"))
         assert len(found) >= 9  # one per experiment table
         for path in found:
-            spec = importlib.util.spec_from_file_location(f"jobs.{path.stem}", path)
-            job = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(job)
+            job = load_job(path.stem)
             assert callable(job.run) and callable(job.main), path.name
 
     def test_t1_runs_on_the_test_world(self, spark, clean_world, monkeypatch):
         """``jobs/t1_integration.py`` ``run`` over the clean test world:
         one row per Table 1 source, in the paper's order."""
-        path = pathlib.Path(__file__).resolve().parents[1] / "jobs" / "t1_integration.py"
-        spec = importlib.util.spec_from_file_location("jobs.t1_integration", path)
-        job = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(job)
+        job = load_job("t1_integration")
         monkeypatch.setattr(job, "build_world", lambda *a, **k: clean_world)
         t = job.run(spark, sf=TEST_SF).set_index("source", drop=False)
         assert list(t["source"]) == [
@@ -127,3 +131,13 @@ class TestSparkSubmitJobSmoke:
         assert t.loc["remote_sensing", "rows"] == 0
         assert t.loc["remote_sensing", "hourly_coverage"] == 0.0
         assert t.loc["national_statistics", "cadence_min"] == 525_600.0
+
+    def test_e7_takes_the_shared_sf_argument(self, spark, monkeypatch, capsys):
+        """``python jobs/e7_density.py 0.1`` runs like every other job.
+        E7 does not depend on SF, so it prints the committed E7 table."""
+        job = load_job("e7_density")
+        monkeypatch.setattr(sys, "argv", ["e7_density.py", "0.1"])
+        job.main()
+        root = pathlib.Path(__file__).resolve().parents[1]
+        want = (root / "experiments_raw" / "e7_density.txt").read_text()
+        assert capsys.readouterr().out == want

@@ -2,7 +2,6 @@
 import duckdb
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro.iot import deployment as dep
 from repro.lorawan import network
@@ -50,20 +49,21 @@ class TestReceptions:
 
 
 class TestTTNDedup:
-    def test_one_row_per_uplink(self, spark, world):
-        dedup = network.ttn_dedup(spark.createDataFrame(world.receptions_pdf))
-        assert (
-            dedup.groupBy("sensor_id", "f_cnt").count().filter("count > 1").count()
-            == 0
-        )
+    @pytest.fixture(scope="class")
+    def dedup(self, world):
+        return network.ttn_dedup(world.receptions_pdf).to_pandas()
 
-    def test_keeps_best_rssi(self, spark, world):
-        dedup = network.ttn_dedup(spark.createDataFrame(world.receptions_pdf))
-        row = dedup.filter("n_gateways >= 2").first()
-        rssis = [g["rssi"] for g in row["gateways"]]
-        assert rssis == sorted(rssis, reverse=True)
+    def test_one_row_per_uplink(self, dedup):
+        assert not dedup.duplicated(["sensor_id", "f_cnt"]).any()
 
-    def test_whole_output_matches_duckdb_oracle(self, spark, world):
+    def test_keeps_best_rssi(self, dedup):
+        multi = dedup[dedup["n_gateways"] >= 2]
+        assert len(multi) > 0
+        for gws in multi["gateways"]:
+            rssis = [g["rssi"] for g in gws]
+            assert rssis == sorted(rssis, reverse=True)
+
+    def test_whole_output_matches_duckdb_oracle(self, world):
         """Every uplink's payload, n_gateways and gateway list (strongest
         first, equal RSSIs by gateway id) equal DuckDB's, row for row."""
         rec = world.receptions_pdf
@@ -80,7 +80,7 @@ class TestTTNDedup:
                         ORDER BY rssi DESC, gateway_id) AS gateways
             FROM rec GROUP BY sensor_id, f_cnt
         """).df()
-        got = network.ttn_dedup(spark.createDataFrame(rec)).toPandas()
+        got = network.ttn_dedup(rec).to_pandas()
         assert list(got.columns) == [
             "sensor_id", "f_cnt", *rec.columns.drop(["sensor_id", "f_cnt", "gateway_id", "rssi"]),
             "n_gateways", "gateways",
@@ -95,10 +95,9 @@ class TestTTNDedup:
             check_exact=True,
         )
 
-    def test_count_matches_distinct_uplinks_oracle(self, spark, world):
+    def test_count_matches_distinct_uplinks_oracle(self, world, dedup):
         rec = world.receptions_pdf[["sensor_id", "f_cnt", "city"]]
-        dedup = network.ttn_dedup(spark.createDataFrame(world.receptions_pdf))
-        got = dedup.groupBy("city").agg(F.count(F.lit(1)).alias("uplinks"))
+        got = dedup.groupby("city").size().rename("uplinks").reset_index()
         assert_equivalent(
             got,
             """
@@ -109,21 +108,15 @@ class TestTTNDedup:
             rec=rec,
         )
 
-    def test_n_gateways_matches_reception_rows_oracle(self, spark, world):
-        dedup = network.ttn_dedup(spark.createDataFrame(world.receptions_pdf))
-        got = dedup.groupBy("sensor_id").agg(
-            F.sum("n_gateways").alias("gw_receptions")
-        )
+    def test_n_gateways_matches_reception_rows_oracle(self, world, dedup):
+        got = dedup.groupby("sensor_id")["n_gateways"].sum().rename("gw_receptions")
         assert_equivalent(
-            got,
+            got.reset_index(),
             "SELECT sensor_id, count(*) AS gw_receptions FROM rec GROUP BY sensor_id",
             rec=world.receptions_pdf[["sensor_id", "f_cnt"]],
         )
 
-    def test_payload_preserved(self, spark, world):
-        dedup = network.ttn_dedup(
-            spark.createDataFrame(world.receptions_pdf)
-        ).toPandas()
+    def test_payload_preserved(self, world, dedup):
         merged = dedup.merge(
             world.readings_pdf, on=["sensor_id", "f_cnt"], suffixes=("", "_orig")
         )
@@ -131,6 +124,11 @@ class TestTTNDedup:
         pd.testing.assert_series_equal(
             merged["co2"], merged["co2_orig"], check_names=False
         )
+
+    def test_empty_receptions(self, world):
+        got = network.ttn_dedup(world.receptions_pdf.iloc[0:0])
+        assert got.num_rows == 0
+        assert got.column_names[-2:] == ["n_gateways", "gateways"]
 
 
 class TestLossAccounting:

@@ -1,16 +1,20 @@
-"""Building an analysis runs no Spark job.
+"""Building an analysis runs no Spark job, and landing runs none at all.
 
 A DataFrame is a plan; only an action should run it. A ``pivot``
 without a value list, for one, runs jobs while the DataFrame is built,
 to find its output columns. Each analysis below is built under a fresh
-job group, which must then hold no job.
+job group, which must then hold no job. The TTN dedup and the MQTT
+landing run on the driver, so they too leave their job group empty.
 """
+import os
+
 import pandas as pd
 import pytest
 
 from repro.core import battery, co2_traffic, dashboard, harmonize, quality
 from repro.dataport import hierarchy
 from repro.iot import deployment as dep
+from repro.lorawan import mqtt, network
 
 BUILDERS = {
     "integrated_city_frame": lambda w, nl, tr, irr: harmonize.integrated_city_frame(
@@ -37,15 +41,27 @@ def irr(spark, world):
     return battery.irradiance_table(spark, sf=world.sf, seed=0)
 
 
-@pytest.mark.parametrize("name", list(BUILDERS))
-def test_building_runs_no_job(spark, world, nilu_df, traffic_df, irr, name):
+def jobs_run_by(spark, group: str, fn) -> list[int]:
+    """The Spark jobs ``fn()`` runs, under a fresh job group."""
     sc = spark.sparkContext
-    group = f"build-{name}"
-    sc.setJobGroup(group, f"build {name}")
+    sc.setJobGroup(group, group)
     try:
-        BUILDERS[name](world, nilu_df, traffic_df, irr)
-        jobs = sc.statusTracker().getJobIdsForGroup(group)
+        fn()
+        return sc.statusTracker().getJobIdsForGroup(group)
     finally:
         sc.setLocalProperty("spark.jobGroup.id", None)
         sc.setLocalProperty("spark.job.description", None)
-    assert jobs == []
+
+
+@pytest.mark.parametrize("name", list(BUILDERS))
+def test_building_runs_no_job(spark, world, nilu_df, traffic_df, irr, name):
+    build = BUILDERS[name]
+    assert jobs_run_by(spark, f"build-{name}",
+                       lambda: build(world, nilu_df, traffic_df, irr)) == []
+
+
+def test_landing_runs_no_job(spark, world, tmp_path):
+    out = str(tmp_path / "landing")
+    assert jobs_run_by(spark, "land", lambda: mqtt.land_messages(
+        network.ttn_dedup(world.receptions_pdf), out)) == []
+    assert sorted(os.listdir(out)) == sorted(os.listdir(world.landing_dir))
